@@ -15,18 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .generators import (
-    corpus_ids,
-    cyclic_table,
-    direct_sum,
-    discrete,
-    hamming,
-    johnson,
-    rank2,
-    schurian,
-    symmetric_table,
-    thin_group_scheme,
-)
+from .generators import corpus_ids, from_spec
 from .harness import (
     VerifyOptions,
     read_reports,
@@ -94,61 +83,8 @@ def _blocks_str(blocks) -> str:
     return "[" + ",".join(f"({f},{m})" for f, m in blocks) + "]"
 
 
-FAMILY_ARITY = {
-    "rank2": 1,
-    "discrete": 1,
-    "thin-cyclic": 1,
-    "thin-sym": 1,
-    "hamming": 2,
-    "johnson": 2,
-}
-
-
-def _build_family(family: str, params: list[str]) -> Scheme:
-    if family == "schurian":
-        if not params:
-            raise UsageError("schurian needs at least one permutation")
-        perms = []
-        for tok in params:
-            try:
-                perms.append([int(x) for x in tok.split(",")])
-            except ValueError:
-                raise UsageError(f"bad permutation {tok!r}")
-        return schurian(perms, len(perms[0]))
-    if family == "direct-sum":
-        if len(params) < 2:
-            raise UsageError("direct-sum needs at least two operands")
-        parts = []
-        for tok in params:
-            sub = tok.split(":")
-            parts.append(_build_family(sub[0], sub[1:]))
-        out = parts[0]
-        for part in parts[1:]:
-            out = direct_sum(out, part)
-        return out
-    if family not in FAMILY_ARITY:
-        raise UsageError(f"unknown family {family!r}")
-    if len(params) != FAMILY_ARITY[family]:
-        raise UsageError(f"{family} takes {FAMILY_ARITY[family]} parameter(s)")
-    try:
-        nums = [int(tok) for tok in params]
-    except ValueError:
-        raise UsageError(f"non-integer parameter in {params}")
-    if family == "rank2":
-        return rank2(nums[0])
-    if family == "discrete":
-        return discrete(nums[0])
-    if family == "thin-cyclic":
-        return thin_group_scheme(cyclic_table(nums[0]))
-    if family == "thin-sym":
-        return thin_group_scheme(symmetric_table(nums[0]))
-    if family == "hamming":
-        return hamming(nums[0], nums[1])
-    return johnson(nums[0], nums[1])
-
-
 def cmd_gen(args) -> int:
-    scheme = _build_family(args.family, args.params)
+    scheme = from_spec(" ".join([args.family, *args.params]))
     sys.stdout.write(format_scheme_file(scheme))
     return 0
 
@@ -269,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file")
         p.add_argument("--one-based", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
+        if name == "frame":
+            p.add_argument("--seed", type=int, default=0)
         if name == "radical":
             p.add_argument("--p", type=int, required=True)
         p.set_defaults(func=func)

@@ -1,4 +1,5 @@
-"""Constructors for concrete schemes and the shared test corpus.
+"""Constructors for concrete schemes, the family specs that `cellalg gen`
+and the shared test corpus both build from, and the corpus itself.
 
 Schurian schemes come from permutation generators: relations are the orbits
 of the generated group acting on ordered pairs, found by flooding pairs with
@@ -10,8 +11,9 @@ relations between cells.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 
@@ -127,9 +129,9 @@ def johnson(v: int, k: int) -> Scheme:
     intersection size."""
     if not 1 <= k < v:
         raise SchemeError("need 1 <= k < v")
-    subsets = list(combinations(range(v), k))
-    if len(subsets) > 4096:
+    if comb(v, k) > 4096:
         raise SchemeError("johnson scheme too large")
+    subsets = list(combinations(range(v), k))
     n = len(subsets)
     colors = np.zeros((n, n), dtype=np.int64)
     sets = [frozenset(s) for s in subsets]
@@ -178,6 +180,8 @@ def cyclic_table(n: int) -> np.ndarray:
 
 def symmetric_table(m: int) -> np.ndarray:
     """S_m with elements sorted lexicographically; composition acts left."""
+    if m < 1:
+        raise SchemeError("need a positive degree")
     elems = sorted(permutations(range(m)))
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
@@ -240,62 +244,100 @@ def product_table(a, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# corpus
+# families and the corpus
 
-def _corpus_builders() -> dict:
-    builders: dict = {}
-    for n in range(2, 25):
-        builders[f"rank2-{n:02d}"] = (lambda n=n: rank2(n))
-    for n in range(1, 6):
-        builders[f"discrete-{n}"] = (lambda n=n: discrete(n))
-    for n in range(2, 13):
-        builders[f"thin-z{n:02d}"] = (lambda n=n: thin_group_scheme(cyclic_table(n)))
-    builders["thin-s3"] = lambda: thin_group_scheme(symmetric_table(3))
-    builders["thin-d4"] = lambda: thin_group_scheme(dihedral_table(4))
-    builders["thin-q8"] = lambda: thin_group_scheme(quaternion_table())
-    builders["thin-z2x2"] = lambda: thin_group_scheme(
-        product_table(cyclic_table(2), cyclic_table(2))
-    )
-    builders["thin-z2x4"] = lambda: thin_group_scheme(
-        product_table(cyclic_table(2), cyclic_table(4))
-    )
-    builders["thin-z2x2x2"] = lambda: thin_group_scheme(
-        product_table(cyclic_table(2), product_table(cyclic_table(2), cyclic_table(2)))
-    )
-    builders["hamming-2-2"] = lambda: hamming(2, 2)
-    builders["hamming-3-2"] = lambda: hamming(3, 2)
-    builders["hamming-2-3"] = lambda: hamming(2, 3)
-    builders["johnson-4-2"] = lambda: johnson(4, 2)
-    builders["johnson-5-2"] = lambda: johnson(5, 2)
-    builders["schurian-swap-3"] = lambda: schurian([[1, 0, 2]], 3)
-    builders["schurian-swap2-4"] = lambda: schurian([[1, 0, 2, 3], [0, 1, 3, 2]], 4)
-    builders["schurian-cyc-5"] = lambda: schurian([[1, 2, 3, 4, 0]], 5)
-    builders["schurian-dihedral-4"] = lambda: schurian([[1, 2, 3, 0], [0, 3, 2, 1]], 4)
-    builders["dsum-r2-d1"] = lambda: direct_sum(rank2(2), discrete(1))
-    builders["dsum-r2-r2"] = lambda: direct_sum(rank2(2), rank2(2))
-    builders["dsum-r2-r3"] = lambda: direct_sum(rank2(2), rank2(3))
-    builders["dsum-r3-r3"] = lambda: direct_sum(rank2(3), rank2(3))
-    builders["dsum-r3-h22"] = lambda: direct_sum(rank2(3), hamming(2, 2))
-    builders["dsum-d2-r4"] = lambda: direct_sum(discrete(2), rank2(4))
-    builders["dsum-z3-r2"] = lambda: direct_sum(
-        thin_group_scheme(cyclic_table(3)), rank2(2)
-    )
-    builders["dsum-r2-r2-r3"] = lambda: direct_sum(
-        rank2(2), direct_sum(rank2(2), rank2(3))
-    )
-    return builders
+def _permutation(token: str) -> list[int]:
+    return [int(x) for x in token.split(",")]
+
+
+# family -> (fewest parameters, most parameters or None for no limit, parser
+# of one parameter token, constructor of the parsed parameters).  The
+# constructors name the module-level functions, so a function rebound on the
+# module (as a tracer does) is the one that runs.
+FAMILIES = {
+    "rank2": (1, 1, int, lambda n: rank2(n)),
+    "discrete": (1, 1, int, lambda n: discrete(n)),
+    "thin-cyclic": (1, 1, int, lambda n: thin_group_scheme(cyclic_table(n))),
+    "thin-sym": (1, 1, int, lambda m: thin_group_scheme(symmetric_table(m))),
+    "thin-dihedral": (1, 1, int, lambda m: thin_group_scheme(dihedral_table(m))),
+    "thin-quaternion": (0, 0, int, lambda: thin_group_scheme(quaternion_table())),
+    "thin-abelian": (
+        2, None, int,
+        lambda *ns: thin_group_scheme(reduce(product_table, map(cyclic_table, ns))),
+    ),
+    "hamming": (2, 2, int, lambda d, q: hamming(d, q)),
+    "johnson": (2, 2, int, lambda v, k: johnson(v, k)),
+    "schurian": (1, None, _permutation, lambda *gens: schurian(gens, len(gens[0]))),
+    "direct-sum": (
+        2, None, lambda token: token.split(":"),
+        lambda *parts: reduce(direct_sum, map(_build, parts)),
+    ),
+}
+
+
+def _build(tokens: list[str]) -> Scheme:
+    if not tokens:
+        raise ValueError("empty family spec")
+    family, *params = tokens
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    low, high, parse, make = FAMILIES[family]
+    if len(params) < low or (high is not None and len(params) > high):
+        count = low if low == high else f"at least {low}"
+        raise ValueError(f"{family} takes {count} parameter(s), got {len(params)}")
+    try:
+        args = [parse(tok) for tok in params]
+    except ValueError:
+        raise ValueError(f"bad {family} parameter in {params}") from None
+    return make(*args)
+
+
+def from_spec(spec: str) -> Scheme:
+    """Scheme of a family spec such as "johnson 5 2", "schurian 1,0,2" or
+    "direct-sum rank2:2 discrete:1" (operands are specs joined by ':').
+    Malformed specs raise ValueError."""
+    return _build(spec.split())
+
+
+CORPUS_SPECS = {
+    **{f"rank2-{n:02d}": f"rank2 {n}" for n in range(2, 25)},
+    **{f"discrete-{n}": f"discrete {n}" for n in range(1, 6)},
+    **{f"thin-z{n:02d}": f"thin-cyclic {n}" for n in range(2, 13)},
+    "thin-s3": "thin-sym 3",
+    "thin-d4": "thin-dihedral 4",
+    "thin-q8": "thin-quaternion",
+    "thin-z2x2": "thin-abelian 2 2",
+    "thin-z2x4": "thin-abelian 2 4",
+    "thin-z2x2x2": "thin-abelian 2 2 2",
+    "hamming-2-2": "hamming 2 2",
+    "hamming-3-2": "hamming 3 2",
+    "hamming-2-3": "hamming 2 3",
+    "johnson-4-2": "johnson 4 2",
+    "johnson-5-2": "johnson 5 2",
+    "schurian-swap-3": "schurian 1,0,2",
+    "schurian-swap2-4": "schurian 1,0,2,3 0,1,3,2",
+    "schurian-cyc-5": "schurian 1,2,3,4,0",
+    "schurian-dihedral-4": "schurian 1,2,3,0 0,3,2,1",
+    "dsum-r2-d1": "direct-sum rank2:2 discrete:1",
+    "dsum-r2-r2": "direct-sum rank2:2 rank2:2",
+    "dsum-r2-r3": "direct-sum rank2:2 rank2:3",
+    "dsum-r3-r3": "direct-sum rank2:3 rank2:3",
+    "dsum-r3-h22": "direct-sum rank2:3 hamming:2:2",
+    "dsum-d2-r4": "direct-sum discrete:2 rank2:4",
+    "dsum-z3-r2": "direct-sum thin-cyclic:3 rank2:2",
+    "dsum-r2-r2-r3": "direct-sum rank2:2 rank2:2 rank2:3",
+}
 
 
 def corpus_ids() -> list[str]:
-    return sorted(_corpus_builders())
+    return sorted(CORPUS_SPECS)
 
 
 def build_scheme(scheme_id: str) -> Scheme:
     """Fresh instance of a corpus scheme by id."""
-    builders = _corpus_builders()
-    if scheme_id not in builders:
+    if scheme_id not in CORPUS_SPECS:
         raise KeyError(f"unknown corpus scheme {scheme_id!r}")
-    return builders[scheme_id]()
+    return from_spec(CORPUS_SPECS[scheme_id])
 
 
 @lru_cache(maxsize=1)

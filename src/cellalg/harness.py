@@ -41,7 +41,6 @@ CONTROL_PRIMES = (2, 3, 5, 7)
 @dataclass(frozen=True)
 class VerifyOptions:
     seed: int = 0
-    tol: float = 1e-8
     prime_bound: int = 50
     oracle_budget: int = 1 << 16
 
@@ -64,6 +63,16 @@ def _encode_quotient(q: Fraction):
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _row_passes(row: dict) -> bool:
+    return (
+        row["p_divides_frame"] is not None
+        and row["semisimple"] is not None
+        and row["p_divides_frame"] != row["semisimple"]
+        and row["witness_ok"] is not False
+        and row["oracle_ok"] is not False
+    )
+
+
 def verify_scheme(
     scheme_id: str, scheme: Scheme, options: VerifyOptions = VerifyOptions()
 ) -> dict:
@@ -81,7 +90,7 @@ def verify_scheme(
 
     blocks = frame = quotient = None
     try:
-        wd = decompose(scheme, seed=options.seed, tol=options.tol)
+        wd = decompose(scheme, seed=options.seed)
         fn = frame_number(scheme, wd)
         blocks = [[f, m] for f, m in wd.blocks]
         frame = fn.frame
@@ -93,7 +102,6 @@ def verify_scheme(
         stages_ok = False
 
     rows = []
-    rows_ok = True
     for p in tested_primes(scheme, options):
         divides = None if frame is None else frame % p == 0
         rad_dim = semisimple = None
@@ -129,14 +137,6 @@ def verify_scheme(
             except Exception:
                 oracle_ok = False
 
-        row_ok = (
-            divides is not None
-            and semisimple is not None
-            and divides != semisimple
-            and witness_ok is not False
-            and oracle_ok is not False
-        )
-        rows_ok = rows_ok and row_ok
         rows.append(
             {
                 "p": p,
@@ -162,18 +162,8 @@ def verify_scheme(
         "frame": frame,
         "frame_quotient": None if quotient is None else _encode_quotient(quotient),
         "rows": rows,
-        "pass": stages_ok and rows_ok,
+        "pass": stages_ok and all(_row_passes(row) for row in rows),
     }
-
-
-def _row_passes(row: dict) -> bool:
-    return (
-        row["p_divides_frame"] is not None
-        and row["semisimple"] is not None
-        and row["p_divides_frame"] != row["semisimple"]
-        and row["witness_ok"] is not False
-        and row["oracle_ok"] is not False
-    )
 
 
 def summarize(reports: list[dict]) -> dict:

@@ -80,10 +80,6 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[: len(pivots)], pivots
 
 
-def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    return len(rref_mod_p(mat, p)[1])
-
-
 def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Canonical (RREF) basis of the right null space of mat over F_p.
 
@@ -248,30 +244,6 @@ def charpoly_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structure-constant arithmetic
 
-def multiply(x, y, c) -> list:
-    """Product of two algebra elements given structure constants c[i][j][k].
-
-    Exact: works for int or Fraction coefficients.  c is an (r, r, r)
-    integer array with A_i A_j = sum_k c[i][j][k] A_k.
-    """
-    cc = np.asarray(c)
-    r = cc.shape[0]
-    if len(x) != r or len(y) != r:
-        raise ValueError("coefficient vector length does not match rank")
-    out: list = [0] * r
-    for i in range(r):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(r):
-            yj = y[j]
-            if not yj:
-                continue
-            for k in np.nonzero(cc[i, j])[0]:
-                out[k] = out[k] + xi * yj * int(cc[i, j, k])
-    return out
-
-
 def multiply_mod(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     """Product of coefficient vectors over F_p."""
     xv = np.asarray(x, dtype=np.int64) % p
@@ -282,14 +254,9 @@ def multiply_mod(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndar
     return np.einsum("ijk,i,j->k", cc, xv, yv) % p
 
 
-def regular_matrix(rel: int, c) -> np.ndarray:
-    """Matrix of left multiplication by basis element rel: column j holds the
-    coefficients of A_rel A_j."""
+def regular_matrices(c) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right regular representations as (r, r, r) stacks: column s
+    of left[i] holds the coefficients of A_i A_s, column s of right[j]
+    those of A_s A_j."""
     cc = np.asarray(c, dtype=np.int64)
-    return cc[rel].T.copy()
-
-
-def right_regular_matrix(rel: int, c) -> np.ndarray:
-    """Matrix of right multiplication by basis element rel."""
-    cc = np.asarray(c, dtype=np.int64)
-    return cc[:, rel, :].T.copy()
+    return cc.transpose(0, 2, 1), cc.transpose(1, 2, 0)

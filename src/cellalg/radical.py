@@ -30,6 +30,7 @@ from .linalg import (
     is_prime,
     kernel_mod_p,
     multiply_mod,
+    regular_matrices,
     rref_mod_p,
 )
 from .scheme import Scheme
@@ -62,13 +63,9 @@ class ModularAlgebra:
     @cached_property
     def pair_action(self) -> np.ndarray:
         """(rank^2, rank, rank) matrices of x -> b_i x b_j in coefficients."""
-        p = self.p
-        c = self.c
-        r = self.rank
-        left = np.stack([c[i].T for i in range(r)]) % p          # L_i[t,s]=c[i,s,t]
-        right = np.stack([c[:, j, :].T for j in range(r)]) % p   # R_j[t,s]=c[s,j,t]
-        out = np.einsum("iab,jbc->ijac", left, right) % p
-        return out.reshape(r * r, r, r)
+        left, right = regular_matrices(self.c)
+        out = np.einsum("iab,jbc->ijac", left, right) % self.p
+        return out.reshape(self.rank**2, self.rank, self.rank)
 
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
         """Point-space matrices of coefficient vectors (batched)."""

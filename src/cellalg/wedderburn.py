@@ -23,13 +23,13 @@ from math import prod
 import numpy as np
 
 from .discriminant import product_cell_sizes, product_relation_sizes
-from .linalg import (
-    kernel_rational,
-    primitive_integer_vector,
-    regular_matrix,
-    right_regular_matrix,
-)
+from .linalg import kernel_rational, primitive_integer_vector, regular_matrices
 from .scheme import Scheme
+
+# eigenvalue clustering gap, singular-value cut and rounding residual bound
+TOL = 1e-8
+# consecutive seeds tried before decompose gives up
+RETRIES = 8
 
 
 class DecompositionError(RuntimeError):
@@ -74,17 +74,13 @@ class FrameNumber:
 def center_basis(scheme: Scheme) -> list[list[int]]:
     """Exact basis of the center: joint kernel of all commutator maps,
     scaled to primitive integer vectors."""
-    c = scheme.tensor.c
-    r = scheme.rank
-    stacked = np.vstack(
-        [regular_matrix(i, c) - right_regular_matrix(i, c) for i in range(r)]
-    )
-    kernel = kernel_rational(stacked.tolist())
+    left, right = regular_matrices(scheme.tensor.c)
+    kernel = kernel_rational((left - right).reshape(-1, scheme.rank).tolist())
     return [primitive_integer_vector(v) for v in kernel]
 
 
-def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clusters of complex values at absolute gap tol*scale."""
+def _cluster(values: np.ndarray) -> list[np.ndarray]:
+    """Single-linkage clusters of complex values at absolute gap TOL*scale."""
     n = len(values)
     scale = max(1.0, float(np.abs(values).max()))
     parent = list(range(n))
@@ -97,7 +93,7 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol * scale:
+            if abs(values[i] - values[j]) <= TOL * scale:
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
@@ -106,7 +102,7 @@ def _cluster(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return [np.array(idx) for _, idx in sorted((min(g), g) for g in groups.values())]
 
 
-def _attempt(scheme: Scheme, center: list[list[int]], seed: int, tol: float):
+def _attempt(scheme: Scheme, center: list[list[int]], seed: int):
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(1, 32, size=len(center))
     vec = np.zeros(scheme.rank, dtype=np.int64)
@@ -114,7 +110,7 @@ def _attempt(scheme: Scheme, center: list[list[int]], seed: int, tol: float):
         vec += int(w) * np.asarray(basis_vec, dtype=np.int64)
     zmat = np.einsum("r,rij->ij", vec, scheme.adjacency).astype(np.float64)
     eigvals = np.linalg.eigvals(zmat)
-    clusters = _cluster(eigvals, tol)
+    clusters = _cluster(eigvals)
     if len(clusters) != len(center):
         return None, f"{len(clusters)} clusters for center dimension {len(center)}"
 
@@ -141,7 +137,7 @@ def _attempt(scheme: Scheme, center: list[list[int]], seed: int, tol: float):
         residual = max(residual, float(np.abs(p @ p - p).max()))
         total += p
     residual = max(residual, float(np.abs(total - eye).max()))
-    if residual >= tol:
+    if residual >= TOL:
         return None, f"projector residual {residual:.3g}"
 
     blocks = []
@@ -149,7 +145,7 @@ def _attempt(scheme: Scheme, center: list[list[int]], seed: int, tol: float):
     for p in projectors:
         compressed = np.stack([(p @ a @ p).ravel() for a in adj])
         svals = np.linalg.svd(compressed, compute_uv=False)
-        cut = tol * max(1.0, float(svals[0]))
+        cut = TOL * max(1.0, float(svals[0]))
         rank = int((svals > cut).sum())
         f = round(rank**0.5)
         if f < 1 or f * f != rank:
@@ -161,7 +157,7 @@ def _attempt(scheme: Scheme, center: list[list[int]], seed: int, tol: float):
             return None, f"projector trace {tr.real:.6g} not divisible by degree {f}"
         blocks.append((f, m))
 
-    if residual >= tol:
+    if residual >= TOL:
         return None, f"rounding residual {residual:.3g}"
     blocks.sort()
     wd = WedderburnData(blocks=tuple(blocks), seed=seed, residual=residual)
@@ -170,7 +166,7 @@ def _attempt(scheme: Scheme, center: list[list[int]], seed: int, tol: float):
     return wd, None
 
 
-def decompose(scheme: Scheme, seed: int = 0, tol: float = 1e-8, retries: int = 8) -> WedderburnData:
+def decompose(scheme: Scheme, seed: int = 0) -> WedderburnData:
     """Block degrees and multiplicities; deterministic given the seed.
 
     Retries with consecutive seeds when the random central element is
@@ -178,8 +174,8 @@ def decompose(scheme: Scheme, seed: int = 0, tol: float = 1e-8, retries: int = 8
     """
     center = center_basis(scheme)
     failures = []
-    for attempt in range(retries):
-        wd, reason = _attempt(scheme, center, seed + attempt, tol)
+    for attempt in range(RETRIES):
+        wd, reason = _attempt(scheme, center, seed + attempt)
         if wd is not None:
             return wd
         failures.append(f"seed {seed + attempt}: {reason}")
@@ -188,7 +184,7 @@ def decompose(scheme: Scheme, seed: int = 0, tol: float = 1e-8, retries: int = 8
     )
 
 
-def frame_number(scheme: Scheme, wd: WedderburnData | None = None, seed: int = 0) -> FrameNumber:
+def frame_number(scheme: Scheme, wd: WedderburnData | None = None) -> FrameNumber:
     """Exact Frame number and its cell-normalized quotient.
 
     The product of relation sizes must be divisible by the product of
@@ -197,7 +193,7 @@ def frame_number(scheme: Scheme, wd: WedderburnData | None = None, seed: int = 0
     treat a non-integral quotient as a reportable finding, not a crash.
     """
     if wd is None:
-        wd = decompose(scheme, seed=seed)
+        wd = decompose(scheme)
     numer = product_relation_sizes(scheme)
     denom = prod(m ** (f * f) for f, m in wd.blocks)
     frame, rem = divmod(numer, denom)

@@ -1,13 +1,16 @@
 """Command line interface: golden outputs, exit codes, file parsing."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cellalg
 from cellalg.cli import main, parse_scheme_file, format_scheme_file
-from cellalg.generators import build_scheme, hamming, rank2
+from cellalg.generators import CORPUS_SPECS, build_scheme, corpus_ids, hamming
 
 RANK2_3_FILE = "3\n0 1 1\n1 0 1\n1 1 0\n"
 
@@ -27,21 +30,29 @@ def test_gen_goldens(capsys):
     assert (code, out) == (0, "2\n0 2\n3 1\n")
 
 
-@pytest.mark.parametrize(
-    "argv,builder_id",
-    [
-        (["gen", "rank2", "5"], "rank2-05"),
-        (["gen", "discrete", "3"], "discrete-3"),
-        (["gen", "thin-cyclic", "6"], "thin-z06"),
-        (["gen", "thin-sym", "3"], "thin-s3"),
-        (["gen", "hamming", "2", "2"], "hamming-2-2"),
-        (["gen", "johnson", "4", "2"], "johnson-4-2"),
-        (["gen", "schurian", "1,0,2"], "schurian-swap-3"),
-        (["gen", "direct-sum", "rank2:2", "discrete:1"], "dsum-r2-d1"),
-        (["gen", "direct-sum", "rank2:2", "rank2:2", "rank2:3"], "dsum-r2-r2-r3"),
-    ],
-)
+# CLI spellings of a few corpus ids, written out, then every other corpus id
+# from its spec: each corpus id is a `gen` spec.
+GEN_CASES = [
+    (["gen", "rank2", "5"], "rank2-05"),
+    (["gen", "discrete", "3"], "discrete-3"),
+    (["gen", "thin-cyclic", "6"], "thin-z06"),
+    (["gen", "thin-sym", "3"], "thin-s3"),
+    (["gen", "hamming", "2", "2"], "hamming-2-2"),
+    (["gen", "johnson", "4", "2"], "johnson-4-2"),
+    (["gen", "schurian", "1,0,2"], "schurian-swap-3"),
+    (["gen", "direct-sum", "rank2:2", "discrete:1"], "dsum-r2-d1"),
+    (["gen", "direct-sum", "rank2:2", "rank2:2", "rank2:3"], "dsum-r2-r2-r3"),
+]
+GEN_CASES += [
+    (["gen", *CORPUS_SPECS[sid].split()], sid)
+    for sid in corpus_ids()
+    if sid not in {written for _, written in GEN_CASES}
+]
+
+
+@pytest.mark.parametrize("argv,builder_id", GEN_CASES)
 def test_gen_roundtrips_through_parser(capsys, argv, builder_id):
+    assert argv[1:] == CORPUS_SPECS[builder_id].split()
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert parse_scheme_file(out) == build_scheme(builder_id)
@@ -144,6 +155,11 @@ def test_gen_usage_errors(capsys):
     assert run(capsys, ["gen", "rank2", "x"])[0] == 2
     assert run(capsys, ["gen", "schurian", "1,0,x"])[0] == 2
     assert run(capsys, ["gen", "direct-sum", "rank2:2"])[0] == 2
+    assert run(capsys, ["gen", "direct-sum", "rank2:2", "nosuch:1"])[0] == 2
+    assert run(capsys, ["gen", "thin-quaternion", "8"])[0] == 2
+    assert run(capsys, ["gen", "thin-abelian", "2"])[0] == 2
+    assert run(capsys, ["gen", "thin-sym", "0"])[0] == 2
+    assert run(capsys, ["gen", "thin-sym", "-2"])[0] == 2
 
 
 def test_unknown_command_exit_2(capsys):
@@ -216,10 +232,14 @@ def test_corpus_stdout_json(capsys, monkeypatch):
 
 
 def test_module_entry_point():
+    # the child imports the same package as the tests, installed or not
+    paths = [str(Path(cellalg.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     proc = subprocess.run(
         [sys.executable, "-m", "cellalg.cli", "gen", "rank2", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == RANK2_3_FILE

@@ -1,8 +1,11 @@
 """Scheme families and the corpus registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from cellalg import generators
 from cellalg.generators import (
     build_scheme,
     check_group_table,
@@ -12,6 +15,7 @@ from cellalg.generators import (
     dihedral_table,
     direct_sum,
     discrete,
+    from_spec,
     hamming,
     johnson,
     product_table,
@@ -148,9 +152,16 @@ def test_johnson():
 
 def test_family_bounds():
     for bad in (lambda: rank2(0), lambda: discrete(0), lambda: hamming(0, 2),
-                lambda: hamming(1, 1), lambda: johnson(3, 3), lambda: hamming(13, 2)):
+                lambda: hamming(1, 1), lambda: johnson(3, 3), lambda: hamming(13, 2),
+                lambda: symmetric_table(0), lambda: symmetric_table(-2)):
         with pytest.raises(SchemeError):
             bad()
+
+
+def test_johnson_size_checked_before_enumerating(monkeypatch):
+    monkeypatch.setattr(generators, "combinations", None)
+    with pytest.raises(SchemeError, match="too large"):
+        johnson(40, 20)
 
 
 def test_direct_sum_small():
@@ -188,6 +199,8 @@ def test_corpus_registry():
     assert build_scheme("rank2-03") == rank2(3)
     with pytest.raises(KeyError):
         build_scheme("nope")
+    with pytest.raises(ValueError):
+        from_spec("")
     # at least 5 inhomogeneous direct sums
     assert sum(1 for sid, s in entries if sid.startswith("dsum-")) >= 5
     for sid, s in entries:
@@ -214,3 +227,17 @@ def test_corpus_tensor_degree_identities():
             src, tgt = st.source_cells[rel], st.target_cells[rel]
             assert c[rel, it, s.diagonal_colors[src]] == st.out_degrees[rel]
             assert c[it, rel, s.diagonal_colors[tgt]] == st.in_degrees[rel]
+
+
+# sha256 over (id, shape, colors) of every corpus scheme: a change to a family
+# or to a corpus spec changes the corpus the reports are made from
+CORPUS_COLORS_SHA256 = "b2a6acdb78664857e516d2e244fa8128f660edd21433f046e57f64309ecce690"
+
+
+def test_corpus_colors_are_pinned():
+    digest = hashlib.sha256()
+    for sid, s in corpus():
+        digest.update(f"{sid}:{s.colors.shape}:".encode())
+        digest.update(s.colors.tobytes())
+    assert len(corpus()) == 62
+    assert digest.hexdigest() == CORPUS_COLORS_SHA256

@@ -8,6 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from reference import multiply
 
 from cellalg.generators import (
     corpus,
@@ -21,7 +22,6 @@ from cellalg.generators import (
     symmetric_table,
     thin_group_scheme,
 )
-from cellalg.linalg import multiply
 from cellalg.wedderburn import (
     FrameNumberError,
     WedderburnData,
