@@ -56,40 +56,41 @@ def schurian(generators, n: int) -> Scheme:
 
 def check_group_table(table) -> np.ndarray:
     """Validate a multiplication table: closure, identity, inverses,
-    associativity (checked directly; these tables are tiny)."""
+    associativity (t[t[a,b],c] == t[a,t[b,c]], one row a at a time)."""
     t = np.asarray(table, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise SchemeError("group table must be square")
     n = t.shape[0]
     if n == 0 or t.min() < 0 or t.max() >= n:
         raise SchemeError("group table entries must index elements")
-    ident = None
-    for e in range(n):
-        if all(t[e, x] == x and t[x, e] == x for x in range(n)):
-            ident = e
-            break
+    ident = _identity(t)
     if ident is None:
         raise SchemeError("group table has no identity")
-    for x in range(n):
-        if not any(t[x, y] == ident and t[y, x] == ident for y in range(n)):
-            raise SchemeError(f"element {x} has no inverse")
+    unit = t == ident
+    lacking = np.nonzero(~(unit & unit.T).any(axis=1))[0]
+    if lacking.size:
+        raise SchemeError(f"element {lacking[0]} has no inverse")
     for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[t[a, b], c] != t[a, t[b, c]]:
-                    raise SchemeError(
-                        f"table is not associative at ({a},{b},{c})"
-                    )
+        bad = np.argwhere(t[t[a]] != t[a][t])
+        if bad.size:
+            b, c = bad[0]
+            raise SchemeError(f"table is not associative at ({a},{b},{c})")
     return t
+
+
+def _identity(t: np.ndarray) -> int | None:
+    """First two-sided identity of a square table, if any."""
+    elems = np.arange(t.shape[0])
+    found = np.nonzero((t == elems).all(axis=1) & (t.T == elems).all(axis=1))[0]
+    return int(found[0]) if found.size else None
 
 
 def thin_group_scheme(table) -> Scheme:
     """Thin scheme of a finite group: R_g = {(x, xg)}; every relation is a
     permutation matrix and the algebra is the group algebra."""
     t = check_group_table(table)
-    n = t.shape[0]
-    ident = next(e for e in range(n) if all(t[e, x] == x for x in range(n)))
-    inv = [next(y for y in range(n) if t[x, y] == ident) for x in range(n)]
+    # inv[x] is the unique y with xy = e
+    inv = np.argmax(t == _identity(t), axis=1)
     # color of (x, y) is the unique g with xg = y
     colors = t[inv, :]
     return from_color_matrix(colors)

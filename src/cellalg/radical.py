@@ -1,17 +1,26 @@
 """Jacobson radical of the adjacency algebra over a prime field.
 
+Both routes act on one faithful module of dimension d = min(n, r): the
+n-dimensional point module of the adjacency matrices, or the r-dimensional
+left-regular module when r < n (faithful because the algebra has an
+identity).
+
 Two independent routes:
 
 * radical_chain: a descending chain of subspaces cut out by characteristic
-  polynomial coefficients of products.  Step i keeps x with the coefficient
-  of t^(n - p^i) of charpoly(x y) vanishing for all y in the current basis;
-  step 0 is the trace-form kernel.  Over the prime field each step is a
-  linear system because the Frobenius fixes F_p, and after floor(log_p n)+1
-  steps the chain stabilizes at the radical.
+  polynomial coefficients of products (Cohen, Ivanyos, Wales, valid on any
+  faithful module).  Step i keeps x with the coefficient of t^(d - p^i) of
+  charpoly(x y) vanishing for all y in the current basis; step 0 is the
+  trace-form kernel.  Over the prime field each step is a linear system
+  because the Frobenius fixes F_p, and after floor(log_p d)+1 steps the
+  chain stabilizes at the radical.
 
 * radical_oracle: enumerate every algebra element (budget permitting) and
-  keep those whose two-sided ideal is nilpotent.  Exponential and only for
-  cross-checking the chain on small instances.
+  keep those whose two-sided ideal is nilpotent.  In a commutative algebra
+  the radical is exactly the set of nilpotent elements, which the
+  matrix-nilpotency prefilter already finds; otherwise the prefilter's
+  survivors get a span-power test on their ideal.  Exponential and only
+  for cross-checking the chain on small instances.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
 routes are comparable array-for-array.
@@ -26,7 +35,6 @@ import numpy as np
 
 from .linalg import (
     charpoly_mod_p,
-    in_row_space_mod_p,
     is_prime,
     kernel_mod_p,
     multiply_mod,
@@ -40,6 +48,11 @@ class BudgetExceeded(ValueError):
     """Oracle enumeration would be larger than the allowed budget."""
 
 
+class InternalCheckError(RuntimeError):
+    """A result failed a check that the mathematics guarantees; raised in
+    place of `assert`, so that `python -O` keeps the check."""
+
+
 @dataclass(frozen=True)
 class RadicalResult:
     dim: int
@@ -48,17 +61,22 @@ class RadicalResult:
 
 
 class ModularAlgebra:
-    """Adjacency algebra over F_p: basis matrices and structure constants."""
+    """Adjacency algebra over F_p: structure constants and the basis acting
+    on the smaller faithful module, of dimension d = min(n, rank).  The
+    left-regular module is used only when it is strictly smaller."""
 
     def __init__(self, scheme: Scheme, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.scheme = scheme
         self.p = p
-        self.n = scheme.size
         self.rank = scheme.rank
         self.c = scheme.tensor.c % p
-        self.mats = scheme.adjacency % p
+        if self.rank < scheme.size:
+            self.mats = regular_matrices(self.c)[0] % p
+        else:
+            self.mats = scheme.adjacency % p
+        self.d = self.mats.shape[1]
 
     @cached_property
     def pair_action(self) -> np.ndarray:
@@ -68,9 +86,11 @@ class ModularAlgebra:
         return out.reshape(self.rank**2, self.rank, self.rank)
 
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
-        """Point-space matrices of coefficient vectors (batched)."""
+        """Module matrices of coefficient vectors (batched)."""
         v = np.asarray(vecs, dtype=np.int64) % self.p
-        return np.einsum("br,rij->bij", v, self.mats) % self.p
+        out = np.einsum("br,rij->bij", v, self.mats)
+        out %= self.p
+        return out
 
 
 def modular_algebra(scheme: Scheme, p: int) -> ModularAlgebra:
@@ -99,9 +119,9 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vec: np.ndarray) -> bool:
 def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     """Radical via the characteristic-coefficient chain; validates that every
     returned basis element generates a nilpotent ideal."""
-    p = alg.p
+    p, dim = alg.p, alg.d
     steps = 1
-    while p**steps <= alg.n:
+    while p**steps <= dim:
         steps += 1
     basis = np.eye(alg.rank, dtype=np.int64)
     for i in range(steps):
@@ -109,23 +129,29 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
             break
         d = basis.shape[0]
         mats = alg.element_matrices(basis)
-        prods = (mats[:, None, :, :] @ mats[None, :, :, :]).reshape(d * d, alg.n, alg.n) % p
+        prods = (mats[:, None, :, :] @ mats[None, :, :, :]).reshape(d * d, dim, dim)
+        prods %= p
         coeff = charpoly_mod_p(prods, p)[:, p**i].reshape(d, d)
         # row y, column x: coefficient of charpoly(x y); solve for x
         system = coeff.T
         combos = kernel_mod_p(system, p)
         basis = rref_mod_p((combos @ basis) % p, p)[0]
     for vec in basis:
-        assert _ideal_is_nilpotent(alg, vec)
+        if not _ideal_is_nilpotent(alg, vec):
+            raise InternalCheckError(
+                f"chain basis vector {vec.tolist()} does not generate a nilpotent ideal"
+            )
     return RadicalResult(dim=basis.shape[0], basis=basis, method="chain")
 
 
 def radical_oracle(alg: ModularAlgebra, budget: int = 1 << 16) -> RadicalResult:
     """Exhaustive radical: all p^rank elements, keeping generators of
     nilpotent ideals.  Matrix-nilpotency prefilters (necessary conditions)
-    cut the candidate set; survivors get the exact span-power test.
-    Asserts the kept set is a subspace."""
-    p, r, n = alg.p, alg.rank, alg.n
+    cut the candidate set.  In a commutative algebra they are also
+    sufficient, since x is then in the radical exactly when it is
+    nilpotent; otherwise survivors get the exact span-power test.
+    Checks that the kept set is a subspace."""
+    p, r, d = alg.p, alg.rank, alg.d
     count = p**r
     if count > budget:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {budget}")
@@ -138,8 +164,9 @@ def radical_oracle(alg: ModularAlgebra, budget: int = 1 << 16) -> RadicalResult:
     def nilpotent_mask(mats: np.ndarray) -> np.ndarray:
         power = mats
         t = 1
-        while t < n:
-            power = (power @ power) % p
+        while t < d:
+            power = power @ power
+            power %= p
             t *= 2
         return ~power.any(axis=(1, 2))
 
@@ -149,12 +176,22 @@ def radical_oracle(alg: ModularAlgebra, budget: int = 1 << 16) -> RadicalResult:
     keep[sel[~nilpotent_mask(mats[sel])]] = False
     for j in range(r):
         sel = np.nonzero(keep)[0]
-        sub = (mats[sel] @ alg.mats[j]) % p
+        sub = mats[sel] @ alg.mats[j]
+        sub %= p
         keep[sel[~nilpotent_mask(sub)]] = False
-    survivors = np.nonzero(keep)[0]
-    members = [v for v in vecs[survivors] if _ideal_is_nilpotent(alg, v)]
-    basis = rref_mod_p(np.array(members, dtype=np.int64).reshape(-1, r), p)[0]
-    assert len(members) == p ** basis.shape[0]
+    survivors = vecs[np.nonzero(keep)[0]]
+    if np.array_equal(alg.c, alg.c.transpose(1, 0, 2)):
+        members = survivors
+    else:
+        members = np.array(
+            [v for v in survivors if _ideal_is_nilpotent(alg, v)], dtype=np.int64
+        ).reshape(-1, r)
+    basis = rref_mod_p(members, p)[0]
+    if len(members) != p ** basis.shape[0]:
+        raise InternalCheckError(
+            f"oracle kept {len(members)} elements, not the {p}^{basis.shape[0]} "
+            "of a subspace"
+        )
     return RadicalResult(dim=basis.shape[0], basis=basis, method="oracle")
 
 
@@ -204,13 +241,18 @@ def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
         fiber = scheme.fiber_of[rel]
         if fiber is not None and fiber[0] == fiber[1]:
             vec[rel] = coeffs[fiber[0]]
-    assert vec.any()
+    if not vec.any():
+        raise InternalCheckError(f"witness mod {p} is zero")
     c = scheme.tensor.c
     for rel in range(scheme.rank):
         e = np.zeros(scheme.rank, dtype=np.int64)
         e[rel] = 1
-        assert np.array_equal(
+        if not np.array_equal(
             multiply_mod(vec, e, c, p), multiply_mod(e, vec, c, p)
-        )
-    assert not multiply_mod(vec, vec, c, p).any()
+        ):
+            raise InternalCheckError(
+                f"witness mod {p} does not commute with basis element {rel}"
+            )
+    if multiply_mod(vec, vec, c, p).any():
+        raise InternalCheckError(f"witness mod {p} does not square to zero")
     return vec

@@ -26,3 +26,25 @@ def multiply(x, y, c) -> list:
             for k in np.nonzero(cc[i, j])[0]:
                 out[k] = out[k] + xi * yj * int(cc[i, j, k])
     return out
+
+
+def group_table_error(t) -> str | None:
+    """First failure of the group axioms, worded as check_group_table words
+    it, found by direct loops over a square table of element indices."""
+    n = len(t)
+    ident = next(
+        (e for e in range(n)
+         if all(t[e][x] == x and t[x][e] == x for x in range(n))),
+        None,
+    )
+    if ident is None:
+        return "group table has no identity"
+    for x in range(n):
+        if not any(t[x][y] == ident and t[y][x] == ident for y in range(n)):
+            return f"element {x} has no inverse"
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return f"table is not associative at ({a},{b},{c})"
+    return None

@@ -26,6 +26,7 @@ from cellalg.generators import (
     thin_group_scheme,
 )
 from cellalg.scheme import SchemeError
+from reference import group_table_error
 
 # latin square with identity and two-sided inverses that is not associative
 NON_GROUP_LOOP = [
@@ -72,6 +73,34 @@ def test_bad_group_tables():
         check_group_table(NON_GROUP_LOOP)
     with pytest.raises(SchemeError, match="entries"):
         check_group_table([[0, 5], [5, 0]])
+
+
+def _table_error(t):
+    try:
+        check_group_table(t)
+    except SchemeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_group_table_check_matches_loops(seed):
+    # relabelled groups, the loop, and perturbed copies that break one axiom
+    # at a place the loops find first
+    rng = np.random.default_rng(seed)
+    base = [cyclic_table(6), symmetric_table(3), dihedral_table(4),
+            quaternion_table(), np.asarray(NON_GROUP_LOOP)][seed % 5]
+    n = len(base)
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    tables = [perm[np.asarray(base)[np.ix_(inv, inv)]]]
+    for _ in range(20):
+        t = tables[0].copy()
+        t[rng.integers(n), rng.integers(n)] = rng.integers(n)
+        tables.append(t)
+    tables.append(rng.integers(n, size=(n, n)))
+    for t in tables:
+        assert _table_error(t) == group_table_error(t.tolist())
 
 
 def test_thin_cyclic():

@@ -5,27 +5,50 @@ radical of F_p[G] has dimension |G| minus the p-free part of |G|, and for
 a p-group the algebra is local so the radical is the augmentation ideal.
 """
 
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import cellalg
+from cellalg import radical
 from cellalg.generators import (
     build_scheme,
+    corpus,
     cyclic_table,
     dihedral_table,
     product_table,
     quaternion_table,
     rank2,
+    schurian,
     thin_group_scheme,
 )
-from cellalg.linalg import in_row_space_mod_p, prime_factors
+from cellalg.linalg import (
+    in_row_space_mod_p,
+    prime_factors,
+    primes_upto,
+    regular_matrices,
+)
 from cellalg.radical import (
     BudgetExceeded,
+    InternalCheckError,
+    _ideal_is_nilpotent,
     central_nilpotent_witness,
     is_semisimple,
     modular_algebra,
     radical_chain,
     radical_oracle,
 )
+
+# p^r at most this many elements in the tests that enumerate the algebra
+SMALL = 4096
 
 
 def witness_matrix(scheme, vec, p):
@@ -130,6 +153,119 @@ def test_chain_matches_oracle(scheme_id, p):
     assert oracle.method == "oracle"
     assert chain.dim == oracle.dim
     assert np.array_equal(chain.basis, oracle.basis)
+
+
+def test_module_is_the_smaller_faithful_one():
+    alg = modular_algebra(rank2(96), 2)  # r < n: left-regular module
+    assert alg.mats.shape == (2, 2, 2) and alg.d == 2
+    assert np.array_equal(alg.mats, regular_matrices(alg.c)[0] % 2)
+    for name in ("thin-z09", "discrete-3"):  # r = n and r > n: point module
+        scheme = build_scheme(name)
+        alg = modular_algebra(scheme, 3)
+        assert alg.mats.shape == (scheme.rank, scheme.size, scheme.size)
+        assert alg.d == scheme.size
+        assert np.array_equal(alg.mats, scheme.adjacency % 3)
+    assert modular_algebra(build_scheme("thin-z09"), 3).mats.shape == (9, 9, 9)
+
+
+def _is_commutative(scheme):
+    c = scheme.tensor.c
+    return np.array_equal(c, c.transpose(1, 0, 2))
+
+
+def test_commutative_oracle_members_generate_nilpotent_ideals(monkeypatch):
+    # the commutative oracle keeps every nilpotent element without the
+    # span-power test; that test must still accept each element it kept
+    def no_span_test(alg, vec):
+        raise AssertionError("span-power test run on a commutative algebra")
+
+    checked = 0
+    for scheme_id, scheme in corpus():
+        if not _is_commutative(scheme):
+            continue
+        for p in primes_upto(int(SMALL ** (1 / scheme.rank)) + 1):
+            if p**scheme.rank > SMALL:
+                continue
+            alg = modular_algebra(scheme, p)
+            with monkeypatch.context() as m:
+                m.setattr(radical, "_ideal_is_nilpotent", no_span_test)
+                basis = radical_oracle(alg).basis
+            for coeffs in product(range(p), repeat=basis.shape[0]):
+                member = (np.array(coeffs, dtype=np.int64) @ basis) % p
+                assert _ideal_is_nilpotent(alg, member), (scheme_id, p)
+            checked += 1
+    assert checked >= 1000
+
+
+@st.composite
+def schurian_cases(draw):
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=2))
+    scheme = schurian(gens, n)
+    primes = [p for p in (2, 3, 5) if p**scheme.rank <= SMALL]
+    assume(primes)
+    return scheme, draw(st.sampled_from(primes))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(schurian_cases())
+def test_chain_matches_oracle_on_random_schurian_schemes(case):
+    scheme, p = case
+    alg = modular_algebra(scheme, p)
+    assert alg.d == min(scheme.size, scheme.rank)
+    chain = radical_chain(alg)
+    oracle = radical_oracle(alg)
+    assert np.array_equal(chain.basis, oracle.basis)
+
+
+def test_failed_checks_raise_with_a_reason(monkeypatch):
+    monkeypatch.setattr(radical, "_ideal_is_nilpotent", lambda alg, vec: False)
+    with pytest.raises(InternalCheckError, match="nilpotent ideal"):
+        radical_chain(modular_algebra(build_scheme("thin-z02"), 2))
+    # thin-s3 is not commutative; keeping only the first two survivors,
+    # 0 and some v, gives {0, v}, which is not a subspace over F_3
+    calls = []
+
+    def accept_first_two(alg, vec):
+        calls.append(vec)
+        return len(calls) <= 2
+
+    monkeypatch.setattr(radical, "_ideal_is_nilpotent", accept_first_two)
+    with pytest.raises(InternalCheckError, match="subspace"):
+        radical_oracle(modular_algebra(build_scheme("thin-s3"), 3))
+    monkeypatch.undo()
+
+    lone_cell = SimpleNamespace(cells=[[0, 1]], rank=1, fiber_of=[None])
+    with pytest.raises(InternalCheckError, match="is zero"):
+        central_nilpotent_witness(lone_cell, 2)
+    scheme = build_scheme("thin-z04")
+    monkeypatch.setattr(radical, "multiply_mod", lambda x, y, c, p: np.ones(4))
+    with pytest.raises(InternalCheckError, match="square to zero"):
+        central_nilpotent_witness(scheme, 2)
+    monkeypatch.setattr(radical, "multiply_mod", lambda x, y, c, p: x)
+    with pytest.raises(InternalCheckError, match="commute"):
+        central_nilpotent_witness(scheme, 2)
+
+
+def test_failed_check_raises_under_python_O():
+    script = (
+        "from cellalg import radical\n"
+        "from cellalg.generators import build_scheme\n"
+        "assert False, 'asserts run'\n"
+        "radical._ideal_is_nilpotent = lambda alg, vec: False\n"
+        "try:\n"
+        "    radical.radical_chain(radical.modular_algebra(build_scheme('thin-z02'), 2))\n"
+        "except radical.InternalCheckError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    paths = [str(Path(cellalg.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: chain basis vector [1, 1]")
 
 
 def test_oracle_budget():
