@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .linalg import det_fraction_free
-from .scheme import Scheme
+from .scheme import InternalCheckError, Scheme
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ def gram_standard(scheme: Scheme) -> GramMatrix:
     closed = [
         [sizes[i] if j == tr[i] else 0 for j in range(r)] for i in range(r)
     ]
-    assert via_tensor == closed
+    if via_tensor != closed:
+        raise InternalCheckError("trace-form Gram matrix differs from its closed form")
     return GramMatrix(rows=tuple(tuple(row) for row in closed), basis=tuple(range(r)))
 
 
@@ -64,12 +65,15 @@ def discriminant_standard(scheme: Scheme) -> tuple[int, int]:
 
     |det| is the product of relation sizes; the sign is -1 to the number of
     non-symmetric transpose pairs.  The determinant is computed by
-    elimination and the sign formula is asserted against it.
+    elimination and the sign formula is checked against it.
     """
     gram = gram_standard(scheme)
     det = det_fraction_free(gram.rows)
     sign = -1 if transpose_pair_count(scheme) % 2 else 1
-    assert det == sign * product_relation_sizes(scheme)
+    if det != sign * product_relation_sizes(scheme):
+        raise InternalCheckError(
+            f"discriminant {det} is not {sign} times the product of relation sizes"
+        )
     return det, sign
 
 

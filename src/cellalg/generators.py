@@ -13,11 +13,20 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
 from .scheme import Scheme, SchemeError, from_color_matrix
+
+# largest point count (group order for the tables) a constructor accepts,
+# checked before anything of that size is allocated
+MAX_POINTS = 4096
+
+
+def _check_size(what: str, n: int) -> None:
+    if n > MAX_POINTS:
+        raise SchemeError(f"{what} too large: {n} > {MAX_POINTS} points")
 
 
 def validate_permutation(perm, n: int) -> np.ndarray:
@@ -100,6 +109,7 @@ def rank2(n: int) -> Scheme:
     """Diagonal plus everything else (the trivial scheme on n points)."""
     if n < 1:
         raise SchemeError("need at least one point")
+    _check_size("rank2 scheme", n)
     if n == 1:
         return from_color_matrix([[0]])
     return from_color_matrix(np.where(np.eye(n, dtype=bool), 0, 1))
@@ -109,6 +119,7 @@ def discrete(n: int) -> Scheme:
     """Every pair its own relation (the full matrix algebra)."""
     if n < 1:
         raise SchemeError("need at least one point")
+    _check_size("discrete scheme", n)
     m = np.arange(n * n, dtype=np.int64).reshape(n, n)
     return from_color_matrix(m)
 
@@ -118,8 +129,7 @@ def hamming(d: int, q: int) -> Scheme:
     Hamming distance."""
     if d < 1 or q < 2:
         raise SchemeError("need d >= 1 and q >= 2")
-    if q**d > 4096:
-        raise SchemeError("hamming scheme too large")
+    _check_size("hamming scheme", q**d)
     words = np.array(list(product(range(q), repeat=d)), dtype=np.int64)
     colors = (words[:, None, :] != words[None, :, :]).sum(axis=2)
     return from_color_matrix(colors)
@@ -130,8 +140,7 @@ def johnson(v: int, k: int) -> Scheme:
     intersection size."""
     if not 1 <= k < v:
         raise SchemeError("need 1 <= k < v")
-    if comb(v, k) > 4096:
-        raise SchemeError("johnson scheme too large")
+    _check_size("johnson scheme", comb(v, k))
     subsets = list(combinations(range(v), k))
     n = len(subsets)
     colors = np.zeros((n, n), dtype=np.int64)
@@ -175,6 +184,7 @@ def direct_sum(a: Scheme, b: Scheme) -> Scheme:
 def cyclic_table(n: int) -> np.ndarray:
     if n < 1:
         raise SchemeError("need a positive order")
+    _check_size("cyclic group table", n)
     i = np.arange(n)
     return (i[:, None] + i[None, :]) % n
 
@@ -183,6 +193,7 @@ def symmetric_table(m: int) -> np.ndarray:
     """S_m with elements sorted lexicographically; composition acts left."""
     if m < 1:
         raise SchemeError("need a positive degree")
+    _check_size("symmetric group table", factorial(m))
     elems = sorted(permutations(range(m)))
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
@@ -198,6 +209,7 @@ def dihedral_table(m: int) -> np.ndarray:
     if m < 1:
         raise SchemeError("need a positive order")
     n = 2 * m
+    _check_size("dihedral group table", n)
 
     def mul(x, y):
         k1, s1 = x % m, x // m

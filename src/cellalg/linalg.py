@@ -201,42 +201,43 @@ def det_fraction_free(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def charpoly_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
+def charpoly_mod_p(mats: np.ndarray, p: int, terms: int | None = None) -> np.ndarray:
     """Characteristic polynomials of a batch of matrices over F_p.
 
-    mats has shape (B, n, n); returns shape (B, n+1) with coefficients of
-    det(tI - M) ordered from t^n down to the constant term.  Uses a
-    division-free (Berkowitz-style) recurrence, so it is valid in any
-    characteristic.
+    mats has shape (B, n, n); returns shape (B, k+1) with coefficients of
+    det(tI - M) ordered from t^n down to t^(n-k), where k = min(terms, n)
+    and no terms means the whole polynomial (k = n).  Uses a division-free
+    (Berkowitz-style) recurrence, so it is valid in any characteristic.
+    The recurrence is lower triangular, so the leading k+1 coefficients
+    need only the first k+1 entries of each Toeplitz column.
     """
     a = np.asarray(mats, dtype=np.int64) % p
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a batch of square matrices")
     batch, n, _ = a.shape
-    if n == 0:
-        return np.ones((batch, 1), dtype=np.int64)
-    coeffs = np.zeros((batch, 2), dtype=np.int64)
-    coeffs[:, 0] = 1
-    coeffs[:, 1] = (-a[:, 0, 0]) % p
-    for i in range(1, n):
+    if terms is not None and terms < 0:
+        raise ValueError("terms must be non-negative")
+    width = n + 1 if terms is None else min(terms, n) + 1
+    coeffs = np.ones((batch, 1), dtype=np.int64)
+    for i in range(n):
+        # charpoly of the leading (i+1) x (i+1) block, first w coefficients
+        w = min(i + 2, width)
         blk = a[:, :i, :i]
         row = a[:, i : i + 1, :i]
         col = a[:, :i, i : i + 1]
         # Toeplitz column: 1, -a_ii, -row.col, -row.blk.col, -row.blk^2.col, ...
-        t = np.zeros((batch, i + 2), dtype=np.int64)
+        t = np.zeros((batch, w), dtype=np.int64)
         t[:, 0] = 1
-        t[:, 1] = (-a[:, i, i]) % p
+        if w > 1:
+            t[:, 1] = (-a[:, i, i]) % p
         v = col
-        for k in range(2, i + 2):
-            t[:, k] = (-(row @ v)[:, 0, 0]) % p
-            if k < i + 1:
+        for k in range(2, w):
+            if k > 2:
                 v = (blk @ v) % p
-        nxt = np.zeros((batch, i + 2), dtype=np.int64)
-        width = coeffs.shape[1]
-        for k in range(i + 2):
-            hi = min(i + 2, k + width)
-            if hi > k:
-                nxt[:, k:hi] = (nxt[:, k:hi] + t[:, k : k + 1] * coeffs[:, : hi - k]) % p
+            t[:, k] = (-(row @ v)[:, 0, 0]) % p
+        nxt = np.zeros((batch, w), dtype=np.int64)
+        for j in range(coeffs.shape[1]):
+            nxt[:, j:] = (nxt[:, j:] + coeffs[:, j : j + 1] * t[:, : w - j]) % p
         coeffs = nxt
     return coeffs
 

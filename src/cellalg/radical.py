@@ -10,10 +10,14 @@ Two independent routes:
 * radical_chain: a descending chain of subspaces cut out by characteristic
   polynomial coefficients of products (Cohen, Ivanyos, Wales, valid on any
   faithful module).  Step i keeps x with the coefficient of t^(d - p^i) of
-  charpoly(x y) vanishing for all y in the current basis; step 0 is the
-  trace-form kernel.  Over the prime field each step is a linear system
-  because the Frobenius fixes F_p, and after floor(log_p d)+1 steps the
-  chain stabilizes at the radical.
+  charpoly(x y) vanishing for all y in the current basis.  Step 0 is the
+  trace-form kernel: that coefficient is -tr(x y), so no product and no
+  characteristic polynomial is formed.  Later steps read the coefficient
+  from a characteristic polynomial truncated after its first p^i + 1
+  terms.  Over the prime field each step is a linear system because the
+  Frobenius fixes F_p, and after floor(log_p d)+1 steps the chain
+  stabilizes at the radical.  The result is checked once: the two-sided
+  ideal generated by the whole basis must be nilpotent.
 
 * radical_oracle: enumerate every algebra element (budget permitting) and
   keep those whose two-sided ideal is nilpotent.  In a commutative algebra
@@ -29,7 +33,6 @@ routes are comparable array-for-array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,16 +44,11 @@ from .linalg import (
     regular_matrices,
     rref_mod_p,
 )
-from .scheme import Scheme
+from .scheme import InternalCheckError, Scheme
 
 
 class BudgetExceeded(ValueError):
     """Oracle enumeration would be larger than the allowed budget."""
-
-
-class InternalCheckError(RuntimeError):
-    """A result failed a check that the mathematics guarantees; raised in
-    place of `assert`, so that `python -O` keeps the check."""
 
 
 @dataclass(frozen=True)
@@ -78,13 +76,6 @@ class ModularAlgebra:
             self.mats = scheme.adjacency % p
         self.d = self.mats.shape[1]
 
-    @cached_property
-    def pair_action(self) -> np.ndarray:
-        """(rank^2, rank, rank) matrices of x -> b_i x b_j in coefficients."""
-        left, right = regular_matrices(self.c)
-        out = np.einsum("iab,jbc->ijac", left, right) % self.p
-        return out.reshape(self.rank**2, self.rank, self.rank)
-
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
         """Module matrices of coefficient vectors (batched)."""
         v = np.asarray(vecs, dtype=np.int64) % self.p
@@ -97,11 +88,18 @@ def modular_algebra(scheme: Scheme, p: int) -> ModularAlgebra:
     return ModularAlgebra(scheme, p)
 
 
-def _ideal_is_nilpotent(alg: ModularAlgebra, vec: np.ndarray) -> bool:
-    """Span-power iteration on the two-sided ideal generated by vec."""
-    p = alg.p
-    gens = (alg.pair_action @ (np.asarray(vec, dtype=np.int64) % p)) % p
-    ideal = rref_mod_p(gens, p)[0]
+def _ideal_is_nilpotent(alg: ModularAlgebra, vecs: np.ndarray) -> bool:
+    """Span-power iteration on the two-sided ideal generated by one vector or
+    a (k, rank) stack of them.  The ideal is built as the left ideal and then
+    its right closure, which is two-sided because the algebra has an
+    identity; a sum of nilpotent ideals is nilpotent, so one test on a stack
+    is as strong as one test per row."""
+    p, r = alg.p, alg.rank
+    gens = np.asarray(vecs, dtype=np.int64).reshape(-1, r) % p
+    left, right = regular_matrices(alg.c)
+    # row (k, i) of each stack: coefficients of A_i g_k, then of u_k A_i
+    lideal = rref_mod_p(np.einsum("iab,kb->kia", left, gens).reshape(-1, r), p)[0]
+    ideal = rref_mod_p(np.einsum("iab,kb->kia", right, lideal).reshape(-1, r), p)[0]
     if ideal.shape[0] == 0:
         return True
     span = ideal
@@ -117,8 +115,8 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vec: np.ndarray) -> bool:
 
 
 def radical_chain(alg: ModularAlgebra) -> RadicalResult:
-    """Radical via the characteristic-coefficient chain; validates that every
-    returned basis element generates a nilpotent ideal."""
+    """Radical via the characteristic-coefficient chain; validates that the
+    returned basis generates a nilpotent ideal."""
     p, dim = alg.p, alg.d
     steps = 1
     while p**steps <= dim:
@@ -129,18 +127,20 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
             break
         d = basis.shape[0]
         mats = alg.element_matrices(basis)
-        prods = (mats[:, None, :, :] @ mats[None, :, :, :]).reshape(d * d, dim, dim)
-        prods %= p
-        coeff = charpoly_mod_p(prods, p)[:, p**i].reshape(d, d)
-        # row y, column x: coefficient of charpoly(x y); solve for x
-        system = coeff.T
-        combos = kernel_mod_p(system, p)
+        # row x, column y: coefficient of t^(dim - p^i) in charpoly(x y)
+        if i == 0:
+            coeff = (-np.einsum("aij,bji->ab", mats, mats)) % p
+        else:
+            prods = (mats[:, None, :, :] @ mats[None, :, :, :]).reshape(d * d, dim, dim)
+            prods %= p
+            coeff = charpoly_mod_p(prods, p, p**i)[:, p**i].reshape(d, d)
+        # solve for x: the coefficient vanishes against every y
+        combos = kernel_mod_p(coeff.T, p)
         basis = rref_mod_p((combos @ basis) % p, p)[0]
-    for vec in basis:
-        if not _ideal_is_nilpotent(alg, vec):
-            raise InternalCheckError(
-                f"chain basis vector {vec.tolist()} does not generate a nilpotent ideal"
-            )
+    if basis.shape[0] and not _ideal_is_nilpotent(alg, basis):
+        raise InternalCheckError(
+            f"chain basis {basis.tolist()} does not generate a nilpotent ideal"
+        )
     return RadicalResult(dim=basis.shape[0], basis=basis, method="chain")
 
 

@@ -28,6 +28,11 @@ class SchemeError(ValueError):
         self.witness = witness
 
 
+class InternalCheckError(RuntimeError):
+    """A result failed a check that the mathematics guarantees; raised in
+    place of `assert`, so that `python -O` keeps the check."""
+
+
 @dataclass(frozen=True)
 class IntersectionTensor:
     """Structure constants c[i][j][k]: A_i A_j = sum_k c[i][j][k] A_k."""
@@ -228,33 +233,33 @@ def verify_regularity(scheme: Scheme) -> IntersectionTensor:
     n = scheme.size
     adj = scheme.adjacency
     flat_colors = scheme.colors.ravel()
-    class_index = [np.nonzero(flat_colors == k)[0] for k in range(r)]
+    # first[k]: flat index of the first pair of color k
+    first = np.unique(flat_colors, return_index=True)[1]
     c = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
-        left = adj[i]
-        for j in range(r):
-            counts = (left @ adj[j]).ravel()
-            for k in range(r):
-                vals = counts[class_index[k]]
-                v0 = int(vals[0])
-                if not np.all(vals == v0):
-                    hit = int(np.nonzero(vals != v0)[0][0])
-                    p0 = divmod(int(class_index[k][0]), n)
-                    p1 = divmod(int(class_index[k][hit]), n)
-                    raise SchemeError(
-                        f"intersection count for ({i},{j}) is not constant on "
-                        f"relation {k}: pair {p0} gives {v0}, pair {p1} gives "
-                        f"{int(vals[hit])}",
-                        witness=(i, j, k, p0, v0, p1, int(vals[hit])),
-                    )
-                c[i, j, k] = v0
+        # counts[j, uw]: midpoints v with (u,v) in R_i and (v,w) in R_j
+        counts = (adj[i] @ adj).reshape(r, n * n)
+        c[i] = counts[:, first]
+        bad = counts != c[i][:, flat_colors]
+        if bad.any():
+            j = int(np.nonzero(bad.any(axis=1))[0][0])
+            k = int(flat_colors[bad[j]].min())
+            hit = int(np.nonzero(bad[j] & (flat_colors == k))[0][0])
+            v0, v1 = int(c[i, j, k]), int(counts[j, hit])
+            p0 = divmod(int(first[k]), n)
+            p1 = divmod(hit, n)
+            raise SchemeError(
+                f"intersection count for ({i},{j}) is not constant on "
+                f"relation {k}: pair {p0} gives {v0}, pair {p1} gives {v1}",
+                witness=(i, j, k, p0, v0, p1, v1),
+            )
     c.flags.writeable = False
     return IntersectionTensor(c)
 
 
 def relation_stats(scheme: Scheme) -> RelationStats:
     """Sizes, degrees and fibers.  Requires a certified scheme; the counting
-    identities it asserts cannot fail after verify_regularity."""
+    identities it checks cannot fail after verify_regularity."""
     scheme.tensor  # certify
     sizes = scheme.relation_sizes
     out_d = []
@@ -263,27 +268,33 @@ def relation_stats(scheme: Scheme) -> RelationStats:
     tgt = []
     for rel in range(scheme.rank):
         fiber = scheme.fiber_of[rel]
-        assert fiber is not None
+        if fiber is None:
+            raise InternalCheckError(f"relation {rel} lies in no single fiber")
         x, y = fiber
         mat = scheme.adjacency[rel]
         row_counts = mat[list(scheme.cells[x])].sum(axis=1)
         col_counts = mat[:, list(scheme.cells[y])].sum(axis=0)
-        assert np.all(row_counts == row_counts[0])
-        assert np.all(col_counts == col_counts[0])
+        if np.any(row_counts != row_counts[0]) or np.any(col_counts != col_counts[0]):
+            raise InternalCheckError(f"relation {rel} has no constant degrees")
         out_d.append(int(row_counts[0]))
         in_d.append(int(col_counts[0]))
         src.append(x)
         tgt.append(y)
         # |X| d_out = |R| = |Y| d_in
-        assert len(scheme.cells[x]) * out_d[-1] == sizes[rel]
-        assert len(scheme.cells[y]) * in_d[-1] == sizes[rel]
+        size_x, size_y = len(scheme.cells[x]), len(scheme.cells[y])
+        if not size_x * out_d[-1] == sizes[rel] == size_y * in_d[-1]:
+            raise InternalCheckError(f"relation {rel}: |X| d_out, |R|, |Y| d_in differ")
     # degree sums per fiber: sum of out-degrees over X x Y equals |Y|
     for x in range(len(scheme.cells)):
         for y in range(len(scheme.cells)):
             rels = [m for m in range(scheme.rank) if scheme.fiber_of[m] == (x, y)]
-            if rels:
-                assert sum(out_d[m] for m in rels) == len(scheme.cells[y])
-                assert sum(in_d[m] for m in rels) == len(scheme.cells[x])
+            if rels and (
+                sum(out_d[m] for m in rels) != len(scheme.cells[y])
+                or sum(in_d[m] for m in rels) != len(scheme.cells[x])
+            ):
+                raise InternalCheckError(
+                    f"degrees over fiber ({x},{y}) do not sum to the cell sizes"
+                )
     return RelationStats(
         sizes=sizes,
         out_degrees=tuple(out_d),
@@ -299,6 +310,8 @@ def classify(scheme: Scheme) -> SchemeFlags:
     homogeneous = len(scheme.cells) == 1
     commutative = bool(np.array_equal(tensor.c, tensor.c.transpose(1, 0, 2)))
     symmetric = all(t == i for i, t in enumerate(transpose_map(scheme)))
-    assert not symmetric or commutative
-    assert not commutative or homogeneous
+    if symmetric and not commutative:
+        raise InternalCheckError("symmetric scheme with a non-commutative tensor")
+    if commutative and not homogeneous:
+        raise InternalCheckError("commutative tensor on more than one cell")
     return SchemeFlags(homogeneous=homogeneous, commutative=commutative, symmetric=symmetric)

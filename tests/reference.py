@@ -1,5 +1,5 @@
-"""Exact structure-constant arithmetic: the reference the tests compare the
-package's mod-p products against."""
+"""Plain-loop references the tests compare the package against: exact
+structure-constant products, group-axiom checks and the regularity check."""
 
 import numpy as np
 
@@ -48,3 +48,31 @@ def group_table_error(t) -> str | None:
                 if t[t[a][b]][c] != t[a][t[b][c]]:
                     return f"table is not associative at ({a},{b},{c})"
     return None
+
+
+def regularity_by_loops(scheme):
+    """(tensor, None) or (None, (message, witness)) from one (i, j, k) at a
+    time, worded as verify_regularity words its failure."""
+    r, n = scheme.rank, scheme.size
+    adj = scheme.adjacency
+    flat_colors = scheme.colors.ravel()
+    class_index = [np.nonzero(flat_colors == k)[0] for k in range(r)]
+    c = np.zeros((r, r, r), dtype=np.int64)
+    for i in range(r):
+        for j in range(r):
+            counts = (adj[i] @ adj[j]).ravel()
+            for k in range(r):
+                vals = counts[class_index[k]]
+                v0 = int(vals[0])
+                if not np.all(vals == v0):
+                    hit = int(np.nonzero(vals != v0)[0][0])
+                    p0 = divmod(int(class_index[k][0]), n)
+                    p1 = divmod(int(class_index[k][hit]), n)
+                    v1 = int(vals[hit])
+                    message = (
+                        f"intersection count for ({i},{j}) is not constant on "
+                        f"relation {k}: pair {p0} gives {v0}, pair {p1} gives {v1}"
+                    )
+                    return None, (message, (i, j, k, p0, v0, p1, v1))
+                c[i, j, k] = v0
+    return c, None

@@ -162,6 +162,17 @@ def test_gen_usage_errors(capsys):
     assert run(capsys, ["gen", "thin-sym", "-2"])[0] == 2
 
 
+def test_gen_oversized_exits_2_before_building(capsys, monkeypatch):
+    from cellalg import generators
+
+    monkeypatch.setattr(generators, "from_color_matrix", None)
+    monkeypatch.setattr(generators, "permutations", None)
+    for argv in (["gen", "thin-sym", "8"], ["gen", "rank2", "5000"]):
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert "too large" in err
+
+
 def test_unknown_command_exit_2(capsys):
     assert run(capsys, ["nosuch"])[0] == 2
     assert run(capsys, [])[0] == 2

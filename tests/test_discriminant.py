@@ -4,10 +4,17 @@ Oracle: the trace form is literally (x, y) -> trace(x @ y) on the point
 space, so we recompute Gram entries from actual matrix products, and the
 determinant with sympy's exact det."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
 
+import cellalg
+from cellalg import discriminant
 from cellalg.discriminant import (
     discriminant_standard,
     gram_standard,
@@ -24,6 +31,7 @@ from cellalg.generators import (
     rank2,
     thin_group_scheme,
 )
+from cellalg.scheme import InternalCheckError
 
 
 def gram_by_matrix_traces(scheme):
@@ -107,3 +115,32 @@ def test_discriminant_matches_sympy_det(sid):
     assert det == int(oracle)
     assert sign == (1 if oracle > 0 else -1)
     assert abs(det) == product_relation_sizes(scheme)
+
+
+def test_failed_checks_raise_with_a_reason(monkeypatch):
+    monkeypatch.setattr(discriminant, "det_fraction_free", lambda rows: 0)
+    with pytest.raises(InternalCheckError, match="product of relation sizes"):
+        discriminant_standard(rank2(3))
+    monkeypatch.setattr(discriminant, "standard_character", lambda scheme, k: 1)
+    with pytest.raises(InternalCheckError, match="closed form"):
+        gram_standard(rank2(3))
+
+
+def test_closed_form_check_raises_under_python_O():
+    script = (
+        "from cellalg import discriminant\n"
+        "from cellalg.generators import rank2\n"
+        "assert False, 'asserts run'\n"
+        "discriminant.det_fraction_free = lambda rows: 0\n"
+        "try:\n"
+        "    discriminant.discriminant_standard(rank2(3))\n"
+        "except discriminant.InternalCheckError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    paths = [str(Path(cellalg.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: discriminant 0 is not 1 times")

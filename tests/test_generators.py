@@ -187,6 +187,21 @@ def test_family_bounds():
             bad()
 
 
+def test_sizes_capped_before_allocating(monkeypatch):
+    for name in ("from_color_matrix", "permutations", "product"):
+        monkeypatch.setattr(generators, name, None)
+    for big in (lambda: rank2(4097), lambda: discrete(4097), lambda: hamming(13, 2),
+                lambda: cyclic_table(4097), lambda: dihedral_table(2049),
+                lambda: symmetric_table(7), lambda: symmetric_table(8)):
+        with pytest.raises(SchemeError, match="too large"):
+            big()
+
+
+def test_size_cap_is_inclusive():
+    generators._check_size("table", generators.MAX_POINTS)
+    assert symmetric_table(6).shape == (720, 720)  # 6! = 720, 7! = 5040
+
+
 def test_johnson_size_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(generators, "combinations", None)
     with pytest.raises(SchemeError, match="too large"):

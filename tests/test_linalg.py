@@ -128,6 +128,20 @@ def test_charpoly_matches_sympy(p, n):
         assert [int(c) % p for c in expected] == ours[b].tolist()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 47])
+@pytest.mark.parametrize("n", range(10))
+def test_truncated_charpoly_is_the_leading_part(p, n):
+    rng = np.random.default_rng(100 * n + p)
+    mats = rng.integers(0, p, size=(6, n, n))
+    full = charpoly_mod_p(mats, p)
+    assert full.shape == (6, n + 1)
+    for terms in range(n + 2):
+        expected = full[:, : min(terms, n) + 1]
+        assert np.array_equal(charpoly_mod_p(mats, p, terms), expected), terms
+    with pytest.raises(ValueError):
+        charpoly_mod_p(mats, p, -1)
+
+
 def test_charpoly_identity():
     # det(tI - I) = (t-1)^n
     out = charpoly_mod_p(np.eye(4, dtype=np.int64)[None], 5)[0]

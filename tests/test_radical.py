@@ -28,6 +28,7 @@ from cellalg.generators import (
     quaternion_table,
     rank2,
     schurian,
+    symmetric_table,
     thin_group_scheme,
 )
 from cellalg.linalg import (
@@ -122,6 +123,20 @@ def test_2_group_algebra_is_local_mod_2(table):
 def test_s3_group_algebra_radical_dim(p, expected):
     alg = modular_algebra(build_scheme("thin-s3"), p)
     assert radical_chain(alg).dim == expected
+
+
+@pytest.mark.parametrize(
+    "name,p,expected",
+    [
+        # abelian: |G| minus the p-free part of |G|
+        ("z30", 2, 15), ("z30", 3, 20), ("z30", 5, 24),
+        # S_4: simple modules of dimensions 1, 2 over F_2 and 1, 1, 3, 3 over F_3
+        ("s4", 2, 24 - 1 - 4), ("s4", 3, 24 - 20),
+    ],
+)
+def test_larger_group_algebra_radical_dim(name, p, expected):
+    table = {"z30": cyclic_table(30), "s4": symmetric_table(4)}[name]
+    assert radical_chain(modular_algebra(thin_group_scheme(table), p)).dim == expected
 
 
 @pytest.mark.parametrize("name", ["discrete-2", "discrete-3", "discrete-4"])
@@ -219,6 +234,30 @@ def test_chain_matches_oracle_on_random_schurian_schemes(case):
     assert np.array_equal(chain.basis, oracle.basis)
 
 
+@st.composite
+def schurian_stacks(draw):
+    scheme, p = draw(schurian_cases())
+    alg = modular_algebra(scheme, p)
+    rad = radical_chain(alg).basis
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # radical members, and with them sometimes an arbitrary element
+    count = draw(st.integers(1, 3))
+    rows = [rng.integers(0, p, rad.shape[0]) @ rad % p for _ in range(count)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), rng.integers(0, p, scheme.rank))
+    return alg, np.array(rows, dtype=np.int64).reshape(-1, scheme.rank)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(schurian_stacks())
+def test_stack_ideal_test_is_the_rowwise_test(case):
+    alg, stack = case
+    assert _ideal_is_nilpotent(alg, stack) == all(
+        _ideal_is_nilpotent(alg, row) for row in stack
+    )
+
+
 def test_failed_checks_raise_with_a_reason(monkeypatch):
     monkeypatch.setattr(radical, "_ideal_is_nilpotent", lambda alg, vec: False)
     with pytest.raises(InternalCheckError, match="nilpotent ideal"):
@@ -265,7 +304,7 @@ def test_failed_check_raises_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: chain basis vector [1, 1]")
+    assert proc.stdout.startswith("raised: chain basis [[1, 1]] does not generate")
 
 
 def test_oracle_budget():

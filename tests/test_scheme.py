@@ -6,7 +6,10 @@ loop and compare."""
 import numpy as np
 import pytest
 
+from cellalg import scheme as scheme_mod
+from cellalg.generators import build_scheme, corpus
 from cellalg.scheme import (
+    InternalCheckError,
     Scheme,
     SchemeError,
     classify,
@@ -14,6 +17,7 @@ from cellalg.scheme import (
     relation_stats,
     verify_regularity,
 )
+from reference import regularity_by_loops
 
 RANK2_3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 Z3_CIRCULANT = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -72,6 +76,34 @@ def test_rank2_3_tensor_against_brute_force():
     assert c[1, 1, 1] == 1
     assert c[0, 1, 1] == 1
     assert c[1, 0, 1] == 1
+
+
+def test_regularity_matches_the_loop_version_on_the_corpus():
+    for scheme_id, s in corpus():
+        expected, failure = regularity_by_loops(s)
+        assert failure is None, scheme_id
+        assert np.array_equal(verify_regularity(s).c, expected), scheme_id
+
+
+def test_regularity_witness_matches_the_loop_version():
+    # random symmetric colorings with a one-color diagonal pass the
+    # construction checks; most of them are not regular
+    rng = np.random.default_rng(5)
+    failures = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        upper = np.triu(rng.integers(1, 4, size=(n, n)), 1)
+        colors = np.unique(upper + upper.T, return_inverse=True)[1].reshape(n, n)
+        s = from_color_matrix(colors)
+        expected, failure = regularity_by_loops(s)
+        if failure is None:
+            assert np.array_equal(verify_regularity(s).c, expected)
+            continue
+        with pytest.raises(SchemeError) as err:
+            verify_regularity(s)
+        assert (str(err.value), err.value.witness) == failure
+        failures += 1
+    assert failures >= 100
 
 
 def test_canonical_relabel_discrete2():
@@ -160,6 +192,14 @@ def test_classify():
     assert (f.homogeneous, f.commutative, f.symmetric) == (True, True, False)
     f = classify(from_color_matrix([[3, 0], [1, 2]]))
     assert (f.homogeneous, f.commutative, f.symmetric) == (False, False, False)
+
+
+def test_flag_checks_raise_with_a_reason(monkeypatch):
+    # thin S_3 is not commutative; claiming every relation symmetric must fail
+    s3 = build_scheme("thin-s3")
+    monkeypatch.setattr(scheme_mod, "transpose_map", lambda s: tuple(range(s.rank)))
+    with pytest.raises(InternalCheckError, match="symmetric"):
+        classify(s3)
 
 
 def test_relabeling_points_preserves_tensor():
