@@ -44,6 +44,7 @@ def schurian(generators, n: int) -> Scheme:
     """
     if n < 1:
         raise SchemeError("need at least one point")
+    _check_size("schurian scheme", n)
     gens = [validate_permutation(g, n) for g in generators]
     colors = np.full((n, n), -1, dtype=np.int64)
     nxt = 0
@@ -159,6 +160,7 @@ def direct_sum(a: Scheme, b: Scheme) -> Scheme:
     summand has more than one cell.
     """
     na, nb = a.size, b.size
+    _check_size("direct sum", na + nb)
     colors = np.zeros((na + nb, na + nb), dtype=np.int64)
     colors[:na, :na] = a.colors
     colors[na:, na:] = b.colors + a.rank
@@ -244,16 +246,13 @@ def quaternion_table() -> np.ndarray:
 
 
 def product_table(a, b) -> np.ndarray:
+    """Direct product of two groups: element x * nb + y is the pair (x, y)."""
+    nb = len(b)
+    n = len(a) * nb
+    _check_size("product group table", n)
     ta = np.asarray(a, dtype=np.int64)
     tb = np.asarray(b, dtype=np.int64)
-    na, nb = ta.shape[0], tb.shape[0]
-    t = np.zeros((na * nb, na * nb), dtype=np.int64)
-    for x1 in range(na):
-        for y1 in range(nb):
-            for x2 in range(na):
-                for y2 in range(nb):
-                    t[x1 * nb + y1, x2 * nb + y2] = ta[x1, x2] * nb + tb[y1, y2]
-    return t
+    return (ta[:, None, :, None] * nb + tb[None, :, None, :]).reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,16 @@ Two independent routes:
   ideal generated by the whole basis must be nilpotent.
 
 * radical_oracle: enumerate every algebra element (budget permitting) and
-  keep those whose two-sided ideal is nilpotent.  In a commutative algebra
-  the radical is exactly the set of nilpotent elements, which the
-  matrix-nilpotency prefilter already finds; otherwise the prefilter's
-  survivors get a span-power test on their ideal.  Exponential and only
-  for cross-checking the chain on small instances.
+  keep those whose two-sided ideal is nilpotent.  Necessary conditions
+  prune first: trace zero (linear, so tested on coefficient vectors before
+  any matrix is built), then nilpotency by repeated squaring, dropping a
+  candidate as soon as one of its powers has nonzero trace.  In a
+  commutative algebra the radical is exactly the set of nilpotent
+  elements, so that is the answer; otherwise every x A_j must be nilpotent
+  too, and one span-power test on the ideal of all survivors accepts them
+  together, with one test per survivor only if it fails.  Exponential and
+  only for cross-checking the chain on small instances; it never uses the
+  chain or the trace-form kernel as a subspace.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
 routes are comparable array-for-array.
@@ -144,14 +149,40 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     return RadicalResult(dim=basis.shape[0], basis=basis, method="chain")
 
 
+def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (b, d, d) stack over F_p are nilpotent.
+
+    Squares until the exponent reaches d (x nilpotent iff x^d = 0).  Every
+    power of a nilpotent matrix has trace zero, so a candidate whose current
+    power has a nonzero trace is dropped before the next squaring; the
+    candidates left at the end get the exact zero test."""
+    d = mats.shape[-1]
+    alive = np.arange(mats.shape[0])
+    power = mats
+    t = 1
+    while t < d and alive.size:
+        power = power @ power
+        power %= p
+        t *= 2
+        traceless = np.einsum("bii->b", power) % p == 0
+        alive, power = alive[traceless], power[traceless]
+    mask = np.zeros(mats.shape[0], dtype=bool)
+    mask[alive[~power.any(axis=(1, 2))]] = True
+    return mask
+
+
 def radical_oracle(alg: ModularAlgebra, budget: int = 1 << 16) -> RadicalResult:
     """Exhaustive radical: all p^rank elements, keeping generators of
-    nilpotent ideals.  Matrix-nilpotency prefilters (necessary conditions)
-    cut the candidate set.  In a commutative algebra they are also
-    sufficient, since x is then in the radical exactly when it is
-    nilpotent; otherwise survivors get the exact span-power test.
-    Checks that the kept set is a subspace."""
-    p, r, d = alg.p, alg.rank, alg.d
+    nilpotent ideals.
+
+    Necessary conditions cut the candidates first: tr(x) = 0, checked on the
+    coefficient vectors since the trace is linear, then x nilpotent and, in a
+    non-commutative algebra, every x A_j nilpotent.  In a commutative
+    algebra the nilpotent elements are exactly the radical, since there
+    (x A_j)^d = x^d A_j^d.  Otherwise the survivors' span gets one exact
+    span-power test; if that ideal is not nilpotent, each survivor gets its
+    own.  Checks that the kept set is a subspace."""
+    p, r = alg.p, alg.rank
     count = p**r
     if count > budget:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {budget}")
@@ -161,26 +192,19 @@ def radical_oracle(alg: ModularAlgebra, budget: int = 1 << 16) -> RadicalResult:
         vecs[:, r - 1 - pos] = idx % p
         idx //= p
 
-    def nilpotent_mask(mats: np.ndarray) -> np.ndarray:
-        power = mats
-        t = 1
-        while t < d:
-            power = power @ power
-            power %= p
-            t *= 2
-        return ~power.any(axis=(1, 2))
-
+    traces = np.einsum("rii->r", alg.mats) % p
+    vecs = vecs[vecs @ traces % p == 0]
     mats = alg.element_matrices(vecs)
-    keep = (np.einsum("bii->b", mats) % p) == 0
-    sel = np.nonzero(keep)[0]
-    keep[sel[~nilpotent_mask(mats[sel])]] = False
-    for j in range(r):
-        sel = np.nonzero(keep)[0]
-        sub = mats[sel] @ alg.mats[j]
-        sub %= p
-        keep[sel[~nilpotent_mask(sub)]] = False
-    survivors = vecs[np.nonzero(keep)[0]]
-    if np.array_equal(alg.c, alg.c.transpose(1, 0, 2)):
+    keep = _nilpotent_mask(mats, p)
+    commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
+    if not commutative:
+        for j in range(r):
+            sel = np.nonzero(keep)[0]
+            sub = mats[sel] @ alg.mats[j]
+            sub %= p
+            keep[sel[~_nilpotent_mask(sub, p)]] = False
+    survivors = vecs[keep]
+    if commutative or _ideal_is_nilpotent(alg, rref_mod_p(survivors, p)[0]):
         members = survivors
     else:
         members = np.array(

@@ -73,10 +73,16 @@ class FrameNumber:
 
 def center_basis(scheme: Scheme) -> list[list[int]]:
     """Exact basis of the center: joint kernel of all commutator maps,
-    scaled to primitive integer vectors."""
+    scaled to primitive integer vectors.  Zero and repeated commutator rows
+    are dropped before the exact elimination; with none left the center is
+    the whole algebra."""
     left, right = regular_matrices(scheme.tensor.c)
-    kernel = kernel_rational((left - right).reshape(-1, scheme.rank).tolist())
-    return [primitive_integer_vector(v) for v in kernel]
+    rows = (left - right).reshape(-1, scheme.rank)
+    # a dict, not np.unique, whose first call in a process costs ~20 ms
+    rows = list(dict.fromkeys(map(tuple, rows[rows.any(axis=1)].tolist())))
+    if not rows:
+        return np.eye(scheme.rank, dtype=np.int64).tolist()
+    return [primitive_integer_vector(v) for v in kernel_rational(rows)]
 
 
 def _cluster(values: np.ndarray) -> list[np.ndarray]:

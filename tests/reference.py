@@ -1,7 +1,17 @@
 """Plain-loop references the tests compare the package against: exact
-structure-constant products, group-axiom checks and the regularity check."""
+structure-constant products, group-axiom checks, the regularity check,
+direct-product tables, the center from every commutator row, nilpotency by
+plain squaring and the exhaustive radical with one ideal test per element."""
 
 import numpy as np
+
+from cellalg.linalg import (
+    kernel_rational,
+    primitive_integer_vector,
+    regular_matrices,
+    rref_mod_p,
+)
+from cellalg.radical import _ideal_is_nilpotent
 
 
 def multiply(x, y, c) -> list:
@@ -76,3 +86,54 @@ def regularity_by_loops(scheme):
                     return None, (message, (i, j, k, p0, v0, p1, v1))
                 c[i, j, k] = v0
     return c, None
+
+
+def product_table_by_loops(a, b) -> np.ndarray:
+    """Direct product table, element x * nb + y being the pair (x, y)."""
+    na, nb = len(a), len(b)
+    t = np.zeros((na * nb, na * nb), dtype=np.int64)
+    for x1 in range(na):
+        for y1 in range(nb):
+            for x2 in range(na):
+                for y2 in range(nb):
+                    t[x1 * nb + y1, x2 * nb + y2] = a[x1][x2] * nb + b[y1][y2]
+    return t
+
+
+def center_by_all_rows(scheme) -> list[list[int]]:
+    """Center basis from the exact kernel of all r^3 commutator rows."""
+    left, right = regular_matrices(scheme.tensor.c)
+    kernel = kernel_rational((left - right).reshape(-1, scheme.rank).tolist())
+    return [primitive_integer_vector(v) for v in kernel]
+
+
+def nilpotent_by_squaring(mats, p) -> np.ndarray:
+    """Mask of the nilpotent matrices of a (b, d, d) stack over F_p: the
+    power x^(2^k) with 2^k >= d is zero."""
+    d = mats.shape[-1]
+    power = mats % p
+    t = 1
+    while t < d:
+        power = power @ power % p
+        t *= 2
+    return ~power.any(axis=(1, 2))
+
+
+def radical_oracle_by_ideals(alg):
+    """Exhaustive radical basis over F_p: every element enumerated; the
+    matrix-nilpotency prefilter (x and every x A_j nilpotent), then each
+    survivor's own two-sided ideal tested, unless the algebra is
+    commutative."""
+    p, r = alg.p, alg.rank
+    vecs = np.array(np.meshgrid(*[range(p)] * r, indexing="ij")).reshape(r, -1).T
+    mats = alg.element_matrices(vecs)
+    keep = (np.einsum("bii->b", mats) % p == 0) & nilpotent_by_squaring(mats, p)
+    for j in range(r):
+        keep &= nilpotent_by_squaring(mats @ alg.mats[j], p)
+    survivors = vecs[keep]
+    if not np.array_equal(alg.c, alg.c.transpose(1, 0, 2)):
+        survivors = np.array(
+            [v for v in survivors if _ideal_is_nilpotent(alg, v)],
+            dtype=np.int64,
+        ).reshape(-1, r)
+    return rref_mod_p(survivors, p)[0]

@@ -167,7 +167,8 @@ def test_gen_oversized_exits_2_before_building(capsys, monkeypatch):
 
     monkeypatch.setattr(generators, "from_color_matrix", None)
     monkeypatch.setattr(generators, "permutations", None)
-    for argv in (["gen", "thin-sym", "8"], ["gen", "rank2", "5000"]):
+    for argv in (["gen", "thin-sym", "8"], ["gen", "rank2", "5000"],
+                 ["gen", "thin-abelian", "64", "65"]):
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "too large" in err

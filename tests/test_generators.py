@@ -1,6 +1,7 @@
 """Scheme families and the corpus registry."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cellalg.generators import (
     thin_group_scheme,
 )
 from cellalg.scheme import SchemeError
-from reference import group_table_error
+from reference import group_table_error, product_table_by_loops
 
 # latin square with identity and two-sided inverses that is not associative
 NON_GROUP_LOOP = [
@@ -195,6 +196,23 @@ def test_sizes_capped_before_allocating(monkeypatch):
                 lambda: symmetric_table(7), lambda: symmetric_table(8)):
         with pytest.raises(SchemeError, match="too large"):
             big()
+
+
+def test_product_table_matches_loops():
+    tables = [cyclic_table(1), cyclic_table(3), symmetric_table(3), quaternion_table()]
+    for a in tables:
+        for b in tables:
+            assert np.array_equal(product_table(a, b), product_table_by_loops(a, b))
+
+
+def test_product_sum_and_schurian_sizes_capped_before_allocating(monkeypatch):
+    monkeypatch.setattr(generators, "np", None)
+    big = SimpleNamespace(size=generators.MAX_POINTS)
+    for oversized in (lambda: product_table(range(64), range(65)),
+                      lambda: direct_sum(big, SimpleNamespace(size=1)),
+                      lambda: schurian([], generators.MAX_POINTS + 1)):
+        with pytest.raises(SchemeError, match="too large"):
+            oversized()
 
 
 def test_size_cap_is_inclusive():

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from reference import nilpotent_by_squaring, radical_oracle_by_ideals
 
 import cellalg
 from cellalg import radical
@@ -41,6 +42,7 @@ from cellalg.radical import (
     BudgetExceeded,
     InternalCheckError,
     _ideal_is_nilpotent,
+    _nilpotent_mask,
     central_nilpotent_witness,
     is_semisimple,
     modular_algebra,
@@ -183,6 +185,14 @@ def test_module_is_the_smaller_faithful_one():
     assert modular_algebra(build_scheme("thin-z09"), 3).mats.shape == (9, 9, 9)
 
 
+def _corpus_cases(budget):
+    """(id, scheme, p) for every corpus scheme and prime with p^r <= budget."""
+    for scheme_id, scheme in corpus():
+        for p in primes_upto(int(budget ** (1 / scheme.rank)) + 1):
+            if p**scheme.rank <= budget:
+                yield scheme_id, scheme, p
+
+
 def _is_commutative(scheme):
     c = scheme.tensor.c
     return np.array_equal(c, c.transpose(1, 0, 2))
@@ -195,21 +205,73 @@ def test_commutative_oracle_members_generate_nilpotent_ideals(monkeypatch):
         raise AssertionError("span-power test run on a commutative algebra")
 
     checked = 0
-    for scheme_id, scheme in corpus():
+    for scheme_id, scheme, p in _corpus_cases(SMALL):
         if not _is_commutative(scheme):
             continue
-        for p in primes_upto(int(SMALL ** (1 / scheme.rank)) + 1):
-            if p**scheme.rank > SMALL:
-                continue
-            alg = modular_algebra(scheme, p)
-            with monkeypatch.context() as m:
-                m.setattr(radical, "_ideal_is_nilpotent", no_span_test)
-                basis = radical_oracle(alg).basis
-            for coeffs in product(range(p), repeat=basis.shape[0]):
-                member = (np.array(coeffs, dtype=np.int64) @ basis) % p
-                assert _ideal_is_nilpotent(alg, member), (scheme_id, p)
-            checked += 1
+        alg = modular_algebra(scheme, p)
+        with monkeypatch.context() as m:
+            m.setattr(radical, "_ideal_is_nilpotent", no_span_test)
+            basis = radical_oracle(alg).basis
+        for coeffs in product(range(p), repeat=basis.shape[0]):
+            member = (np.array(coeffs, dtype=np.int64) @ basis) % p
+            assert _ideal_is_nilpotent(alg, member), (scheme_id, p)
+        checked += 1
     assert checked >= 1000
+
+
+def test_oracle_equals_reference_on_corpus():
+    checked = 0
+    for scheme_id, scheme, p in _corpus_cases(SMALL):
+        alg = modular_algebra(scheme, p)
+        expected = radical_oracle_by_ideals(alg)
+        assert np.array_equal(radical_oracle(alg).basis, expected), (scheme_id, p)
+        checked += 1
+    assert checked >= 1000
+
+
+def test_oracle_per_survivor_fallback_matches_chain(monkeypatch):
+    # reject the one test on the survivors' span, so that every survivor
+    # goes through its own span-power test
+    def reject_span(alg, vecs):
+        return vecs.ndim == 1 and _ideal_is_nilpotent(alg, vecs)
+
+    checked = 0
+    for scheme_id, scheme, p in _corpus_cases(1 << 16):  # the oracle's budget
+        if _is_commutative(scheme):
+            continue
+        alg = modular_algebra(scheme, p)
+        chain = radical_chain(alg)
+        with monkeypatch.context() as m:
+            m.setattr(radical, "_ideal_is_nilpotent", reject_span)
+            oracle = radical_oracle(alg)
+        assert np.array_equal(oracle.basis, chain.basis), (scheme_id, p)
+        checked += 1
+    assert checked >= 43
+
+
+def _jordan_block(d, eigenvalue):
+    return eigenvalue * np.eye(d, dtype=np.int64) + np.eye(d, k=1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 9])
+def test_nilpotent_mask_is_plain_squaring(d, p):
+    rng = np.random.default_rng(100 * d + p)
+    dense = rng.integers(0, p, (200, d, d))
+    # strictly upper triangular, then relabelled: nilpotent, not triangular
+    perm = rng.permutation(d)
+    hidden = np.triu(rng.integers(0, p, (50, d, d)), k=1)[:, perm][:, :, perm]
+    # zero, identity (all power traces d, zero mod p when p | d), Jordan
+    # blocks with eigenvalues 0, 1 and p - 1
+    special = np.array(
+        [np.zeros((d, d), dtype=np.int64), np.eye(d, dtype=np.int64)]
+        + [_jordan_block(d, e) % p for e in (0, 1, p - 1)]
+    )
+    mats = np.concatenate([dense, hidden, special])
+    mask = _nilpotent_mask(mats, p)
+    assert np.array_equal(mask, nilpotent_by_squaring(mats, p))
+    assert mask[200:250].all()
+    assert mask[-5:].tolist() == [True, False, True, False, False]
 
 
 @st.composite
@@ -262,11 +324,14 @@ def test_failed_checks_raise_with_a_reason(monkeypatch):
     monkeypatch.setattr(radical, "_ideal_is_nilpotent", lambda alg, vec: False)
     with pytest.raises(InternalCheckError, match="nilpotent ideal"):
         radical_chain(modular_algebra(build_scheme("thin-z02"), 2))
-    # thin-s3 is not commutative; keeping only the first two survivors,
-    # 0 and some v, gives {0, v}, which is not a subspace over F_3
+    # thin-s3 is not commutative; rejecting the survivors' span sends each
+    # survivor to its own test, and keeping only the first two, 0 and some
+    # v, gives {0, v}, which is not a subspace over F_3
     calls = []
 
     def accept_first_two(alg, vec):
+        if vec.ndim == 2:
+            return False
         calls.append(vec)
         return len(calls) <= 2
 
@@ -297,6 +362,13 @@ def test_failed_check_raises_under_python_O():
         "    radical.radical_chain(radical.modular_algebra(build_scheme('thin-z02'), 2))\n"
         "except radical.InternalCheckError as exc:\n"
         "    print('raised:', exc)\n"
+        "# the survivors' span is rejected, and of the single survivors only\n"
+        "# the 0/1 vectors are kept: v without 2v, not a subspace over F_3\n"
+        "radical._ideal_is_nilpotent = lambda alg, vec: vec.ndim == 1 and vec.max() <= 1\n"
+        "try:\n"
+        "    radical.radical_oracle(radical.modular_algebra(build_scheme('thin-s3'), 3))\n"
+        "except radical.InternalCheckError as exc:\n"
+        "    print('raised:', exc)\n"
     )
     paths = [str(Path(cellalg.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -304,7 +376,9 @@ def test_failed_check_raises_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: chain basis [[1, 1]] does not generate")
+    chain, oracle = proc.stdout.splitlines()
+    assert chain.startswith("raised: chain basis [[1, 1]] does not generate")
+    assert oracle.startswith("raised: oracle kept") and oracle.endswith("of a subspace")
 
 
 def test_oracle_budget():

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from reference import multiply
+from reference import center_by_all_rows, multiply
 
 from cellalg.generators import (
     corpus,
@@ -29,6 +29,14 @@ from cellalg.wedderburn import (
     decompose,
     frame_number,
 )
+
+
+def test_center_equals_kernel_of_all_commutator_rows():
+    schemes = [scheme for _, scheme in corpus()]
+    schemes += [thin_group_scheme(symmetric_table(4)), discrete(6),
+                thin_group_scheme(cyclic_table(30))]
+    for scheme in schemes:
+        assert center_basis(scheme) == center_by_all_rows(scheme)
 
 
 def test_center_dimensions():
