@@ -25,7 +25,7 @@ from .discriminant import (
 from .generators import build_scheme, corpus_ids
 from .linalg import in_row_space_mod_p, prime_factors, primes_upto
 from .radical import (
-    BudgetExceeded,
+    ORACLE_BUDGET,
     central_nilpotent_witness,
     modular_algebra,
     radical_chain,
@@ -35,14 +35,12 @@ from .scheme import Scheme
 from .wedderburn import decompose, frame_number
 
 SCHEMA_VERSION = 1
-CONTROL_PRIMES = (2, 3, 5, 7)
+PRIME_BOUND = 50
 
 
 @dataclass(frozen=True)
 class VerifyOptions:
     seed: int = 0
-    prime_bound: int = 50
-    oracle_budget: int = 1 << 16
 
 
 def candidate_primes(scheme: Scheme) -> list[int]:
@@ -50,13 +48,10 @@ def candidate_primes(scheme: Scheme) -> list[int]:
     return prime_factors(product_relation_sizes(scheme))
 
 
-def tested_primes(scheme: Scheme, options: VerifyOptions) -> list[int]:
-    """Candidates plus a control set that must always come out semisimple
-    when it misses the Frame number."""
-    primes = set(candidate_primes(scheme))
-    primes.update(CONTROL_PRIMES)
-    primes.update(primes_upto(options.prime_bound))
-    return sorted(primes)
+def tested_primes(scheme: Scheme) -> list[int]:
+    """Candidates plus the controls up to PRIME_BOUND, which must come out
+    semisimple when they miss the Frame number."""
+    return sorted(set(candidate_primes(scheme)) | set(primes_upto(PRIME_BOUND)))
 
 
 def _encode_quotient(q: Fraction):
@@ -101,7 +96,7 @@ def verify_scheme(
         stages_ok = False
 
     rows = []
-    for p in tested_primes(scheme, options):
+    for p in tested_primes(scheme):
         divides = None if frame is None else frame % p == 0
         rad_dim = semisimple = None
         rad_basis = None
@@ -125,14 +120,12 @@ def verify_scheme(
                 witness_ok = False
 
         oracle_ok = None
-        if alg is not None and p**scheme.rank <= options.oracle_budget:
+        if alg is not None and p**scheme.rank <= ORACLE_BUDGET:
             try:
-                oracle = radical_oracle(alg, budget=options.oracle_budget)
+                oracle = radical_oracle(alg)
                 oracle_ok = oracle.dim == rad_dim and np.array_equal(
                     oracle.basis, rad_basis
                 )
-            except BudgetExceeded:
-                oracle_ok = None
             except Exception:
                 oracle_ok = False
 

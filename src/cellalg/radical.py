@@ -52,6 +52,10 @@ from .linalg import (
 from .scheme import InternalCheckError, Scheme
 
 
+# largest p^rank the exhaustive oracle enumerates
+ORACLE_BUDGET = 1 << 16
+
+
 class BudgetExceeded(ValueError):
     """Oracle enumeration would be larger than the allowed budget."""
 
@@ -171,7 +175,7 @@ def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return mask
 
 
-def radical_oracle(alg: ModularAlgebra, budget: int = 1 << 16) -> RadicalResult:
+def radical_oracle(alg: ModularAlgebra, budget: int = ORACLE_BUDGET) -> RadicalResult:
     """Exhaustive radical: all p^rank elements, keeping generators of
     nilpotent ideals.
 

@@ -1,13 +1,18 @@
 """Wedderburn block data (degrees and multiplicities) and the Frame number.
 
 The center of the algebra is computed exactly over Q.  A seeded random
-integer combination of the center basis is then eigendecomposed numerically
-on the point space; eigenvalue clusters correspond to blocks, and Lagrange
-interpolation at the cluster means yields the block projectors.  Degrees
-come from the rank of the compressed algebra, multiplicities from projector
-traces.  Every rounded quantity is validated against exact integer
-identities (sum of squared degrees = rank, weighted degrees = points), so a
-bad draw is detected and retried rather than silently accepted.
+integer combination z of the center basis gives the Hermitian central
+element h = (z + z^T) + i(z - z^T) (the algebra is closed under transpose),
+which acts on each block by one real scalar.  One eigendecomposition of h on
+the point space splits its sorted eigenvalues into runs, one per block; the
+eigenvectors of a run are an orthonormal basis of that block's isotypic
+component, of dimension f*m.  The degree f is the square root of the rank of
+the algebra compressed to that component.  Every eigenspace must be
+invariant under the basis matrices, and the block data must satisfy exact
+integer identities: sum f^2 = rank, sum f*m = points, and
+prod |R| * prod f^(f^2) = |det G_reg| * prod m^(f^2), where G_reg is the
+Gram matrix of the regular trace form.  A bad draw is detected and retried
+rather than silently accepted.
 
 Everything downstream of the rounded integers is exact again: the Frame
 number is an exact integer quotient and the cell-normalized quotient an
@@ -23,10 +28,15 @@ from math import prod
 import numpy as np
 
 from .discriminant import product_cell_sizes, product_relation_sizes
-from .linalg import kernel_rational, primitive_integer_vector, regular_matrices
+from .linalg import (
+    det_fraction_free,
+    kernel_rational,
+    primitive_integer_vector,
+    regular_matrices,
+)
 from .scheme import Scheme
 
-# eigenvalue clustering gap, singular-value cut and rounding residual bound
+# eigenvalue gap, singular-value cut and eigenspace residual bound
 TOL = 1e-8
 # consecutive seeds tried before decompose gives up
 RETRIES = 8
@@ -85,91 +95,65 @@ def center_basis(scheme: Scheme) -> list[list[int]]:
     return [primitive_integer_vector(v) for v in kernel_rational(rows)]
 
 
-def _cluster(values: np.ndarray) -> list[np.ndarray]:
-    """Single-linkage clusters of complex values at absolute gap TOL*scale."""
-    n = len(values)
-    scale = max(1.0, float(np.abs(values).max()))
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= TOL * scale:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    # deterministic order: by smallest member index
-    return [np.array(idx) for _, idx in sorted((min(g), g) for g in groups.values())]
+def regular_discriminant(scheme: Scheme) -> int:
+    """|det G_reg| of the regular trace form, exactly: G_reg[i][j] =
+    sum_k c_ijk tr(L_k), with tr(L_k) = sum_s c_kss the trace of left
+    multiplication by A_k."""
+    c = scheme.tensor.c
+    return abs(det_fraction_free(c @ np.einsum("kss->k", c)))
 
 
-def _attempt(scheme: Scheme, center: list[list[int]], seed: int):
+def check_blocks(scheme: Scheme, wd: WedderburnData, det_reg: int) -> str | None:
+    """Why the block data cannot be right, or None.  Besides the sums
+    sum f^2 = r and sum f*m = n, the standard and regular trace forms give
+    prod |R| * prod f^(f^2) = |det G_reg| * prod m^(f^2)."""
+    if wd.rank != scheme.rank or wd.points != scheme.size:
+        return f"block sums {wd.rank}/{wd.points} disagree with {scheme.rank}/{scheme.size}"
+    if product_relation_sizes(scheme) * prod(f ** (f * f) for f, _ in wd.blocks) != (
+        det_reg * prod(m ** (f * f) for f, m in wd.blocks)
+    ):
+        return "blocks miss the regular trace form identity"
+    return None
+
+
+def _attempt(scheme: Scheme, center: list[list[int]], seed: int, det_reg: int):
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(1, 32, size=len(center))
-    vec = np.zeros(scheme.rank, dtype=np.int64)
-    for w, basis_vec in zip(coeffs, center):
-        vec += int(w) * np.asarray(basis_vec, dtype=np.int64)
-    zmat = np.einsum("r,rij->ij", vec, scheme.adjacency).astype(np.float64)
-    eigvals = np.linalg.eigvals(zmat)
-    clusters = _cluster(eigvals)
-    if len(clusters) != len(center):
-        return None, f"{len(clusters)} clusters for center dimension {len(center)}"
+    vec = coeffs @ np.asarray(center, dtype=np.int64)
+    z = np.einsum("r,rij->ij", vec, scheme.adjacency).astype(np.float64)
+    # z^T is central too (the algebra is closed under transpose), so h is
+    # central and Hermitian and acts on each block by one real scalar
+    values, vectors = np.linalg.eigh((z + z.T) + 1j * (z - z.T))
+    scale = max(1.0, float(np.abs(values).max()))
+    cuts = np.flatnonzero(np.diff(values) > TOL * scale) + 1
+    runs = np.split(np.arange(scheme.size), cuts)
+    if len(runs) != len(center):
+        return None, f"{len(runs)} clusters for center dimension {len(center)}"
 
-    means = [eigvals[idx].mean() for idx in clusters]
-    n = scheme.size
-    eye = np.eye(n, dtype=np.complex128)
-    projectors = []
-    for j, mu in enumerate(means):
-        p = eye
-        # far factors first keeps intermediate products tame
-        for nu in sorted((nu for l, nu in enumerate(means) if l != j),
-                         key=lambda nu: -abs(mu - nu)):
-            p = p @ (zmat - nu * eye) / (mu - nu)
-        # polish toward the exact idempotent (quadratic convergence)
-        for _ in range(3):
-            if float(np.abs(p @ p - p).max()) < 1e-13:
-                break
-            p = p @ p @ (3 * eye - 2 * p)
-        projectors.append(p)
-
-    residual = 0.0
-    total = np.zeros((n, n), dtype=np.complex128)
-    for p in projectors:
-        residual = max(residual, float(np.abs(p @ p - p).max()))
-        total += p
-    residual = max(residual, float(np.abs(total - eye).max()))
-    if residual >= TOL:
-        return None, f"projector residual {residual:.3g}"
-
-    blocks = []
     adj = scheme.adjacency.astype(np.complex128)
-    for p in projectors:
-        compressed = np.stack([(p @ a @ p).ravel() for a in adj])
-        svals = np.linalg.svd(compressed, compute_uv=False)
-        cut = TOL * max(1.0, float(svals[0]))
-        rank = int((svals > cut).sum())
+    residual = 0.0
+    blocks = []
+    for run in runs:
+        # orthonormal basis of one isotypic component, of dimension f*m
+        v = vectors[:, run]
+        compressed = v.conj().T @ adj @ v
+        res = float(np.abs(adj @ v - v @ compressed).max())
+        # "not <" so that a NaN residual fails too
+        if not res < TOL:
+            return None, f"eigenspace residual {res:.3g}"
+        residual = max(residual, res)
+        svals = np.linalg.svd(compressed.reshape(scheme.rank, -1), compute_uv=False)
+        rank = int((svals > TOL * max(1.0, float(svals[0]))).sum())
         f = round(rank**0.5)
         if f < 1 or f * f != rank:
             return None, f"compressed rank {rank} is not a square"
-        tr = complex(np.trace(p))
-        residual = max(residual, abs(tr.imag), abs(tr.real - round(tr.real)))
-        m, rem = divmod(round(tr.real), f)
-        if rem or m < 1:
-            return None, f"projector trace {tr.real:.6g} not divisible by degree {f}"
-        blocks.append((f, m))
+        # a degree that does not divide the run length fails the sum f*m = n
+        blocks.append((f, len(run) // f))
 
-    if residual >= TOL:
-        return None, f"rounding residual {residual:.3g}"
     blocks.sort()
     wd = WedderburnData(blocks=tuple(blocks), seed=seed, residual=residual)
-    if wd.rank != scheme.rank or wd.points != scheme.size:
-        return None, f"block sums {wd.rank}/{wd.points} disagree with {scheme.rank}/{scheme.size}"
-    return wd, None
+    reason = check_blocks(scheme, wd, det_reg)
+    return (None, reason) if reason else (wd, None)
 
 
 def decompose(scheme: Scheme, seed: int = 0) -> WedderburnData:
@@ -179,9 +163,10 @@ def decompose(scheme: Scheme, seed: int = 0) -> WedderburnData:
     degenerate (collided eigenvalues) or validation fails.
     """
     center = center_basis(scheme)
+    det_reg = regular_discriminant(scheme)
     failures = []
     for attempt in range(RETRIES):
-        wd, reason = _attempt(scheme, center, seed + attempt)
+        wd, reason = _attempt(scheme, center, seed + attempt, det_reg)
         if wd is not None:
             return wd
         failures.append(f"seed {seed + attempt}: {reason}")

@@ -15,9 +15,8 @@ from cellalg.discriminant import (
 )
 from cellalg.generators import corpus, corpus_ids
 from cellalg.harness import to_json_line, verify_corpus
+from cellalg.radical import ORACLE_BUDGET
 from cellalg.wedderburn import decompose
-
-ORACLE_BUDGET = 1 << 16
 
 
 def test_criterion_1_corpus_composition():

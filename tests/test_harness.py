@@ -27,10 +27,9 @@ def test_candidate_primes():
 
 
 def test_tested_primes_add_controls():
-    assert prime_set(rank2(3), VerifyOptions()) == ALL_PRIMES_TO_50
-    assert prime_set(rank2(3), VerifyOptions(prime_bound=0)) == [2, 3, 5, 7]
-    # candidate 11 stays in even when the control bound excludes it
-    assert prime_set(rank2(11), VerifyOptions(prime_bound=3)) == [2, 3, 5, 7, 11]
+    assert prime_set(rank2(3)) == ALL_PRIMES_TO_50
+    # candidate 53 (prod |R| = 53 * 52) stays in above the control bound
+    assert prime_set(rank2(53)) == ALL_PRIMES_TO_50 + [53]
 
 
 def test_verify_rank2_3_report():

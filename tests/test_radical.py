@@ -39,6 +39,7 @@ from cellalg.linalg import (
     regular_matrices,
 )
 from cellalg.radical import (
+    ORACLE_BUDGET,
     BudgetExceeded,
     InternalCheckError,
     _ideal_is_nilpotent,
@@ -236,7 +237,7 @@ def test_oracle_per_survivor_fallback_matches_chain(monkeypatch):
         return vecs.ndim == 1 and _ideal_is_nilpotent(alg, vecs)
 
     checked = 0
-    for scheme_id, scheme, p in _corpus_cases(1 << 16):  # the oracle's budget
+    for scheme_id, scheme, p in _corpus_cases(ORACLE_BUDGET):
         if _is_commutative(scheme):
             continue
         alg = modular_algebra(scheme, p)

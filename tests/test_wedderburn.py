@@ -26,8 +26,10 @@ from cellalg.wedderburn import (
     FrameNumberError,
     WedderburnData,
     center_basis,
+    check_blocks,
     decompose,
     frame_number,
+    regular_discriminant,
 )
 
 
@@ -78,6 +80,14 @@ def test_decompose_frozen_blocks():
         (2, 2),
     )
     assert decompose(hamming(2, 2)).blocks == ((1, 1), (1, 1), (1, 2))
+    assert decompose(thin_group_scheme(symmetric_table(4))).blocks == (
+        (1, 1),
+        (1, 1),
+        (2, 2),
+        (3, 3),
+        (3, 3),
+    )
+    assert decompose(discrete(6)).blocks == ((6, 1),)
 
 
 def test_decompose_direct_sum():
@@ -108,9 +118,33 @@ def test_frame_frozen_values():
 
 
 def test_frame_thin_cyclic_closed_form():
-    for n in (2, 3, 5, 8):
+    for n in (2, 3, 5, 8, 14, 16, 18, 20, 24, 28, 30):
         fn = frame_number(thin_group_scheme(cyclic_table(n)))
         assert fn.frame == n**n
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_decompose_thin_cyclic_past_corpus(seed):
+    # thin Z_14 is where the block data used to depend on the seed
+    for n in range(14, 31):
+        wd = decompose(thin_group_scheme(cyclic_table(n)), seed=seed)
+        assert wd.blocks == ((1, 1),) * n, n
+
+
+def test_regular_discriminant_identity_rejects_wrong_blocks():
+    scheme = rank2(4)
+    det_reg = regular_discriminant(scheme)
+    assert det_reg == 16  # commutative: |det G_reg| is the Frame number
+    right = decompose(scheme)
+    assert right.blocks == ((1, 1), (1, 3))
+    assert check_blocks(scheme, right, det_reg) is None
+    # the sums and the divisibility check cannot tell these blocks apart
+    wrong = WedderburnData(blocks=((1, 2), (1, 2)), seed=0, residual=0.0)
+    assert (wrong.rank, wrong.points) == (scheme.rank, scheme.size)
+    assert frame_number(scheme, wrong).frame == 12
+    assert check_blocks(scheme, wrong, det_reg) == (
+        "blocks miss the regular trace form identity"
+    )
 
 
 def test_frame_divisibility_error():
