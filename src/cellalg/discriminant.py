@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from .linalg import det_fraction_free
 from .scheme import InternalCheckError, Scheme
 
@@ -40,19 +42,13 @@ def gram_standard(scheme: Scheme) -> GramMatrix:
     must agree; a mismatch would be an internal error."""
     c = scheme.tensor.c
     r = scheme.rank
-    chi = [standard_character(scheme, k) for k in range(r)]
-    via_tensor = [
-        [sum(int(c[i, j, k]) * chi[k] for k in range(r)) for j in range(r)]
-        for i in range(r)
-    ]
-    sizes = scheme.relation_sizes
-    tr = scheme.transpose_of
-    closed = [
-        [sizes[i] if j == tr[i] else 0 for j in range(r)] for i in range(r)
-    ]
-    if via_tensor != closed:
+    chi = np.array([standard_character(scheme, k) for k in range(r)], dtype=np.int64)
+    via_tensor = c @ chi
+    closed = np.zeros((r, r), dtype=np.int64)
+    closed[np.arange(r), scheme.transpose_of] = scheme.relation_sizes
+    if not np.array_equal(via_tensor, closed):
         raise InternalCheckError("trace-form Gram matrix differs from its closed form")
-    return GramMatrix(rows=tuple(tuple(row) for row in closed), basis=tuple(range(r)))
+    return GramMatrix(rows=tuple(map(tuple, closed.tolist())), basis=tuple(range(r)))
 
 
 def transpose_pair_count(scheme: Scheme) -> int:

@@ -252,7 +252,10 @@ def multiply_mod(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndar
     cc = np.asarray(c, dtype=np.int64) % p
     if xv.shape[0] != cc.shape[0] or yv.shape[0] != cc.shape[0]:
         raise ValueError("coefficient vector length does not match rank")
-    return np.einsum("ijk,i,j->k", cc, xv, yv) % p
+    r = cc.shape[0]
+    # sum_ij x_i y_j c_ijk by two products: einsum runs three operands as
+    # one nested loop
+    return yv @ (xv @ cc.reshape(r, r * r)).reshape(r, r) % p
 
 
 def regular_matrices(c) -> tuple[np.ndarray, np.ndarray]:

@@ -14,10 +14,15 @@ Two independent routes:
   trace-form kernel: that coefficient is -tr(x y), so no product and no
   characteristic polynomial is formed.  Later steps read the coefficient
   from a characteristic polynomial truncated after its first p^i + 1
-  terms.  Over the prime field each step is a linear system because the
-  Frobenius fixes F_p, and after floor(log_p d)+1 steps the chain
-  stabilizes at the radical.  The result is checked once: the two-sided
-  ideal generated by the whole basis must be nilpotent.
+  terms.  Since charpoly(x y) = charpoly(y x), the coefficient matrix is
+  symmetric and one product per unordered pair {x, y} fills it.  Over the
+  prime field each step is a linear system because the Frobenius fixes
+  F_p, and after floor(log_p d)+1 steps the chain stabilizes at the
+  radical.  Every subspace of the chain contains the radical (for x in it
+  every x y is nilpotent), so once the two-sided ideal generated by a
+  subspace is nilpotent, that subspace is the radical.  That test runs
+  after each step that shrinks the basis, and the chain stops at the
+  first subspace that passes; one that ends without passing raises.
 
 * radical_oracle: enumerate every algebra element (budget permitting) and
   keep those whose two-sided ideal is nilpotent.  Necessary conditions
@@ -113,8 +118,11 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vecs: np.ndarray) -> bool:
         return True
     span = ideal
     while True:
-        prods = np.einsum("ijk,ai,bj->abk", alg.c, span, ideal) % p
-        nxt = rref_mod_p(prods.reshape(-1, alg.rank), p)[0]
+        # row (a, b) of prods: coefficients of span_a ideal_b; two-operand
+        # products, since einsum runs three operands as one nested loop
+        prods = ideal @ (span @ alg.c.reshape(r, r * r)).reshape(-1, r, r)
+        prods %= p
+        nxt = rref_mod_p(prods.reshape(-1, r), p)[0]
         if nxt.shape[0] == 0:
             return True
         if nxt.shape[0] == span.shape[0]:
@@ -124,33 +132,40 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vecs: np.ndarray) -> bool:
 
 
 def radical_chain(alg: ModularAlgebra) -> RadicalResult:
-    """Radical via the characteristic-coefficient chain; validates that the
-    returned basis generates a nilpotent ideal."""
+    """Radical via the characteristic-coefficient chain.  Stops at the first
+    subspace whose generated ideal is nilpotent; a chain that ends on
+    another subspace raises."""
     p, dim = alg.p, alg.d
     steps = 1
     while p**steps <= dim:
         steps += 1
     basis = np.eye(alg.rank, dtype=np.int64)
     for i in range(steps):
-        if basis.shape[0] == 0:
-            break
         d = basis.shape[0]
         mats = alg.element_matrices(basis)
         # row x, column y: coefficient of t^(dim - p^i) in charpoly(x y)
         if i == 0:
             coeff = (-np.einsum("aij,bji->ab", mats, mats)) % p
         else:
-            prods = (mats[:, None, :, :] @ mats[None, :, :, :]).reshape(d * d, dim, dim)
+            rows, cols = np.triu_indices(d)
+            prods = mats[rows] @ mats[cols]
             prods %= p
-            coeff = charpoly_mod_p(prods, p, p**i)[:, p**i].reshape(d, d)
+            # charpoly(x y) = charpoly(y x): one product per unordered pair
+            upper = charpoly_mod_p(prods, p, p**i)[:, p**i]
+            coeff = np.empty((d, d), dtype=np.int64)
+            coeff[rows, cols] = coeff[cols, rows] = upper
         # solve for x: the coefficient vanishes against every y
         combos = kernel_mod_p(coeff.T, p)
         basis = rref_mod_p((combos @ basis) % p, p)[0]
-    if basis.shape[0] and not _ideal_is_nilpotent(alg, basis):
-        raise InternalCheckError(
-            f"chain basis {basis.tolist()} does not generate a nilpotent ideal"
-        )
-    return RadicalResult(dim=basis.shape[0], basis=basis, method="chain")
+        # a basis that did not shrink has failed the test already, or is
+        # the whole algebra, which contains the identity
+        if basis.shape[0] == 0 or (
+            basis.shape[0] < d and _ideal_is_nilpotent(alg, basis)
+        ):
+            return RadicalResult(dim=basis.shape[0], basis=basis, method="chain")
+    raise InternalCheckError(
+        f"chain basis {basis.tolist()} does not generate a nilpotent ideal"
+    )
 
 
 def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:

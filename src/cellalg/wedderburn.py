@@ -40,6 +40,9 @@ from .scheme import Scheme
 TOL = 1e-8
 # consecutive seeds tried before decompose gives up
 RETRIES = 8
+# the random central element's coefficients come from 1..COEFF_BOUND; with
+# 1..31, distinct blocks of small groups often shared an eigenvalue
+COEFF_BOUND = 1 << 20
 
 
 class DecompositionError(RuntimeError):
@@ -118,7 +121,7 @@ def check_blocks(scheme: Scheme, wd: WedderburnData, det_reg: int) -> str | None
 
 def _attempt(scheme: Scheme, center: list[list[int]], seed: int, det_reg: int):
     rng = np.random.default_rng(seed)
-    coeffs = rng.integers(1, 32, size=len(center))
+    coeffs = rng.integers(1, COEFF_BOUND, size=len(center), endpoint=True)
     vec = coeffs @ np.asarray(center, dtype=np.int64)
     z = np.einsum("r,rij->ij", vec, scheme.adjacency).astype(np.float64)
     # z^T is central too (the algebra is closed under transpose), so h is

@@ -1,17 +1,21 @@
 """Plain-loop references the tests compare the package against: exact
 structure-constant products, group-axiom checks, the regularity check,
 direct-product tables, the center from every commutator row, nilpotency by
-plain squaring and the exhaustive radical with one ideal test per element."""
+plain squaring, the exhaustive radical with one ideal test per element, the
+nilpotent-ideal test by one three-operand einsum and the radical chain run
+through every step with every ordered pair."""
 
 import numpy as np
 
 from cellalg.linalg import (
+    charpoly_mod_p,
+    kernel_mod_p,
     kernel_rational,
     primitive_integer_vector,
     regular_matrices,
     rref_mod_p,
 )
-from cellalg.radical import _ideal_is_nilpotent
+from cellalg.radical import InternalCheckError, _ideal_is_nilpotent
 
 
 def multiply(x, y, c) -> list:
@@ -137,3 +141,50 @@ def radical_oracle_by_ideals(alg):
             dtype=np.int64,
         ).reshape(-1, r)
     return rref_mod_p(survivors, p)[0]
+
+
+def ideal_is_nilpotent_by_einsum(alg, vecs) -> bool:
+    """Span-power test on the two-sided ideal generated by a stack of
+    vectors, each power span formed by one three-operand einsum."""
+    p, r = alg.p, alg.rank
+    gens = np.asarray(vecs, dtype=np.int64).reshape(-1, r) % p
+    left, right = regular_matrices(alg.c)
+    lideal = rref_mod_p(np.einsum("iab,kb->kia", left, gens).reshape(-1, r), p)[0]
+    ideal = rref_mod_p(np.einsum("iab,kb->kia", right, lideal).reshape(-1, r), p)[0]
+    if ideal.shape[0] == 0:
+        return True
+    span = ideal
+    while True:
+        prods = np.einsum("ijk,ai,bj->abk", alg.c, span, ideal) % p
+        nxt = rref_mod_p(prods.reshape(-1, r), p)[0]
+        if nxt.shape[0] == 0:
+            return True
+        if nxt.shape[0] == span.shape[0]:
+            return False
+        span = nxt
+
+
+def radical_chain_all_steps(alg) -> np.ndarray:
+    """Radical basis from the characteristic-coefficient chain run through
+    all floor(log_p d) + 1 steps, with the product x y formed for every
+    ordered pair, and one nilpotent-ideal check on the final basis."""
+    p, dim = alg.p, alg.d
+    steps = 1
+    while p**steps <= dim:
+        steps += 1
+    basis = np.eye(alg.rank, dtype=np.int64)
+    for i in range(steps):
+        if basis.shape[0] == 0:
+            break
+        d = basis.shape[0]
+        mats = alg.element_matrices(basis)
+        if i == 0:
+            coeff = (-np.einsum("aij,bji->ab", mats, mats)) % p
+        else:
+            prods = (mats[:, None] @ mats[None, :]).reshape(d * d, dim, dim) % p
+            coeff = charpoly_mod_p(prods, p, p**i)[:, p**i].reshape(d, d)
+        combos = kernel_mod_p(coeff.T, p)
+        basis = rref_mod_p((combos @ basis) % p, p)[0]
+    if basis.shape[0] and not _ideal_is_nilpotent(alg, basis):
+        raise InternalCheckError(f"chain basis {basis.tolist()} is not nilpotent")
+    return basis

@@ -29,6 +29,7 @@ from cellalg.generators import (
     direct_sum,
     discrete,
     rank2,
+    symmetric_table,
     thin_group_scheme,
 )
 from cellalg.scheme import InternalCheckError
@@ -102,6 +103,13 @@ def test_gram_matches_matrix_traces(sid):
     scheme = dict(corpus())[sid]
     g = gram_standard(scheme)
     assert [list(r) for r in g.rows] == gram_by_matrix_traces(scheme)
+
+
+def test_gram_matches_matrix_traces_past_corpus():
+    for scheme in (thin_group_scheme(symmetric_table(4)), discrete(6),
+                   thin_group_scheme(cyclic_table(30))):
+        g = gram_standard(scheme)
+        assert [list(r) for r in g.rows] == gram_by_matrix_traces(scheme)
 
 
 @pytest.mark.parametrize(

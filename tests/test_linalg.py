@@ -10,6 +10,7 @@ import pytest
 import sympy
 from reference import multiply
 
+from cellalg.generators import symmetric_table, thin_group_scheme
 from cellalg.linalg import (
     charpoly_mod_p,
     det_fraction_free,
@@ -142,6 +143,21 @@ def test_truncated_charpoly_is_the_leading_part(p, n):
         charpoly_mod_p(mats, p, -1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 47])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+def test_charpoly_of_xy_is_charpoly_of_yx(p, n):
+    # the chain fills its symmetric coefficient matrix from one product per pair
+    rng = np.random.default_rng(1000 * n + p)
+    x = rng.integers(0, p, size=(40, n, n))
+    y = rng.integers(0, p, size=(40, n, n))
+    # singular factors too: x of rank at most 1, y strictly upper triangular
+    x[20:] = rng.integers(0, p, size=(20, n, 1)) @ rng.integers(0, p, size=(20, 1, n))
+    y[30:] = np.triu(y[30:], k=1)
+    xy = charpoly_mod_p(x @ y % p, p)
+    assert np.array_equal(xy, charpoly_mod_p(y @ x % p, p))
+    assert np.array_equal(xy[:, :3], charpoly_mod_p(y @ x % p, p, 2))
+
+
 def test_charpoly_identity():
     # det(tI - I) = (t-1)^n
     out = charpoly_mod_p(np.eye(4, dtype=np.int64)[None], 5)[0]
@@ -194,13 +210,15 @@ def test_multiply_matrix_units():
 
 
 def test_multiply_mod_agrees_with_exact():
-    c = matrix_unit_tensor()
+    # the 2 x 2 matrix units, and the non-commutative thin S_3
+    s3 = thin_group_scheme(symmetric_table(3)).tensor.c
     rng = np.random.default_rng(7)
-    for p in (2, 5):
-        x = rng.integers(0, p, size=4)
-        y = rng.integers(0, p, size=4)
-        exact = [v % p for v in multiply(x.tolist(), y.tolist(), c)]
-        assert multiply_mod(x, y, c, p).tolist() == exact
+    for c in (matrix_unit_tensor(), s3):
+        for p in (2, 5):
+            x = rng.integers(0, p, size=len(c))
+            y = rng.integers(0, p, size=len(c))
+            exact = [v % p for v in multiply(x.tolist(), y.tolist(), c)]
+            assert multiply_mod(x, y, c, p).tolist() == exact
 
 
 def test_regular_matrices_are_homomorphisms():

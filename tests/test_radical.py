@@ -16,15 +16,24 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from reference import nilpotent_by_squaring, radical_oracle_by_ideals
+from reference import (
+    ideal_is_nilpotent_by_einsum,
+    nilpotent_by_squaring,
+    radical_chain_all_steps,
+    radical_oracle_by_ideals,
+)
 
 import cellalg
-from cellalg import radical
+from cellalg import harness, radical
 from cellalg.generators import (
     build_scheme,
     corpus,
     cyclic_table,
     dihedral_table,
+    direct_sum,
+    discrete,
+    hamming,
+    johnson,
     product_table,
     quaternion_table,
     rank2,
@@ -33,6 +42,7 @@ from cellalg.generators import (
     thin_group_scheme,
 )
 from cellalg.linalg import (
+    charpoly_mod_p,
     in_row_space_mod_p,
     prime_factors,
     primes_upto,
@@ -50,6 +60,7 @@ from cellalg.radical import (
     radical_chain,
     radical_oracle,
 )
+from cellalg.scheme import from_color_matrix
 
 # p^r at most this many elements in the tests that enumerate the algebra
 SMALL = 4096
@@ -171,6 +182,49 @@ def test_chain_matches_oracle(scheme_id, p):
     assert oracle.method == "oracle"
     assert chain.dim == oracle.dim
     assert np.array_equal(chain.basis, oracle.basis)
+
+
+def _benchmark_schemes():
+    """Corpus, then the large-n and high-rank schemes in their seed-0
+    labelling."""
+    yield from corpus()
+    yield from [
+        ("rank2-96", rank2(96)), ("hamming-3-3", hamming(3, 3)),
+        ("johnson-7-3", johnson(7, 3)),
+        ("thin-s4", thin_group_scheme(symmetric_table(4))),
+        ("discrete-6", discrete(6)),
+    ]
+    for n in (18, 20, 30):
+        yield f"thin-z{n}", thin_group_scheme(cyclic_table(n))
+
+
+def test_chain_equals_the_all_steps_chain():
+    # stopping at the first nilpotent subspace and forming one product per
+    # unordered pair leave the basis as it was
+    checked = 0
+    for scheme_id, scheme in _benchmark_schemes():
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            expected = radical_chain_all_steps(alg)
+            assert np.array_equal(radical_chain(alg).basis, expected), (scheme_id, p)
+            checked += 1
+    assert checked == 1050
+
+
+@pytest.mark.parametrize("p,dim", [(2, 15), (5, 24)])
+def test_chain_stops_at_the_first_nilpotent_subspace(monkeypatch, p, dim):
+    # thin Z_30 at p = 2 has 4 charpoly steps and at p = 5 has 2; the basis
+    # after the first of them already generates a nilpotent ideal
+    seen = []
+
+    def counting(mats, q, terms=None):
+        seen.append(terms)
+        return charpoly_mod_p(mats, q, terms)
+
+    monkeypatch.setattr(radical, "charpoly_mod_p", counting)
+    alg = modular_algebra(thin_group_scheme(cyclic_table(30)), p)
+    assert radical_chain(alg).dim == dim
+    assert seen == [p]
 
 
 def test_module_is_the_smaller_faithful_one():
@@ -319,6 +373,46 @@ def test_stack_ideal_test_is_the_rowwise_test(case):
     assert _ideal_is_nilpotent(alg, stack) == all(
         _ideal_is_nilpotent(alg, row) for row in stack
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(schurian_stacks())
+def test_ideal_test_equals_the_einsum_reference(case):
+    alg, stack = case
+    assert _ideal_is_nilpotent(alg, stack) == ideal_is_nilpotent_by_einsum(alg, stack)
+
+
+NONCOMMUTATIVE_PARTS = {
+    "thin-s3": lambda: thin_group_scheme(symmetric_table(3)),
+    "thin-d4": lambda: thin_group_scheme(dihedral_table(4)),
+    "thin-q8": lambda: thin_group_scheme(quaternion_table()),
+    "discrete-2": lambda: discrete(2),
+}
+
+
+@st.composite
+def noncommutative_regular_cases(draw):
+    """A non-commutative scheme plus rank2(k), relabelled, with r < n, so
+    that the chain acts on the left-regular module."""
+    part = NONCOMMUTATIVE_PARTS[draw(st.sampled_from(sorted(NONCOMMUTATIVE_PARTS)))]()
+    scheme = direct_sum(part, rank2(draw(st.integers(5, 9))))
+    assume(scheme.rank < scheme.size)
+    perm = draw(st.permutations(range(scheme.size)))
+    scheme = from_color_matrix(scheme.colors[np.ix_(perm, perm)])
+    primes = [p for p in (2, 3, 5) if p**scheme.rank <= ORACLE_BUDGET]
+    return scheme, draw(st.sampled_from(primes))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(noncommutative_regular_cases())
+def test_chain_matches_oracle_on_the_noncommutative_regular_module(case):
+    scheme, p = case
+    assert not _is_commutative(scheme)
+    alg = modular_algebra(scheme, p)
+    assert alg.d == scheme.rank < scheme.size
+    assert np.array_equal(radical_chain(alg).basis, radical_oracle(alg).basis)
 
 
 def test_failed_checks_raise_with_a_reason(monkeypatch):
