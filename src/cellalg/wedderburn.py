@@ -40,8 +40,8 @@ from .scheme import Scheme
 TOL = 1e-8
 # consecutive seeds tried before decompose gives up
 RETRIES = 8
-# the random central element's coefficients come from 1..COEFF_BOUND; with
-# 1..31, distinct blocks of small groups often shared an eigenvalue
+# the random central element's coefficients come from 1..COEFF_BOUND, wide
+# enough that distinct blocks rarely share an eigenvalue
 COEFF_BOUND = 1 << 20
 
 
