@@ -8,7 +8,6 @@ divide F.
 """
 
 from .discriminant import (
-    GramMatrix,
     discriminant_standard,
     gram_standard,
     product_cell_sizes,
@@ -17,7 +16,6 @@ from .discriminant import (
 )
 from .generators import (
     build_scheme,
-    corpus,
     corpus_ids,
     cyclic_table,
     dihedral_table,
@@ -43,7 +41,6 @@ from .radical import (
     ModularAlgebra,
     RadicalResult,
     central_nilpotent_witness,
-    is_semisimple,
     modular_algebra,
     radical_chain,
     radical_oracle,
@@ -73,7 +70,6 @@ __all__ = [
     "DecompositionError",
     "FrameNumber",
     "FrameNumberError",
-    "GramMatrix",
     "ModularAlgebra",
     "RadicalResult",
     "Scheme",
@@ -85,7 +81,6 @@ __all__ = [
     "center_basis",
     "central_nilpotent_witness",
     "classify",
-    "corpus",
     "corpus_ids",
     "cyclic_table",
     "decompose",
@@ -97,7 +92,6 @@ __all__ = [
     "from_color_matrix",
     "gram_standard",
     "hamming",
-    "is_semisimple",
     "johnson",
     "modular_algebra",
     "product_cell_sizes",

@@ -25,7 +25,6 @@ from .harness import (
     verify_scheme,
     write_reports,
 )
-from .linalg import is_prime
 from .radical import modular_algebra, radical_chain
 from .scheme import Scheme, SchemeError, from_color_matrix
 from .wedderburn import decompose, frame_number
@@ -108,7 +107,7 @@ def cmd_info(args) -> int:
         )
     digest = hashlib.sha256()
     digest.update(f"{scheme.size},{scheme.rank};".encode())
-    digest.update(scheme.tensor.c.tobytes())
+    digest.update(scheme.tensor.tobytes())
     print(f"tensor_digest={digest.hexdigest()[:16]}")
     return 0
 
@@ -124,8 +123,6 @@ def cmd_frame(args) -> int:
 
 
 def cmd_radical(args) -> int:
-    if not is_prime(args.p):
-        raise UsageError(f"--p must be prime, got {args.p}")
     scheme = _load_scheme(args)
     res = radical_chain(modular_algebra(scheme, args.p))
     print(f"rad_dim={res.dim} semisimple={str(res.dim == 0).lower()}")

@@ -10,21 +10,12 @@ cross-checked against the closed-form sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .linalg import det_fraction_free
 from .scheme import InternalCheckError, Scheme
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Exact Gram matrix of the standard trace form in the relation basis."""
-
-    rows: tuple[tuple[int, ...], ...]
-    basis: tuple[int, ...]
 
 
 def standard_character(scheme: Scheme, rel: int) -> int:
@@ -36,19 +27,19 @@ def standard_character(scheme: Scheme, rel: int) -> int:
     return 0
 
 
-def gram_standard(scheme: Scheme) -> GramMatrix:
-    """Gram matrix computed two ways: through the intersection tensor and the
-    character, and from the closed form size(i) at (i, i-transpose).  The two
-    must agree; a mismatch would be an internal error."""
-    c = scheme.tensor.c
+def gram_standard(scheme: Scheme) -> np.ndarray:
+    """Exact (r, r) int64 Gram matrix in the relation basis, computed two
+    ways: through the intersection tensor and the character, and from the
+    closed form size(i) at (i, i-transpose).  The two must agree; a mismatch
+    would be an internal error."""
     r = scheme.rank
     chi = np.array([standard_character(scheme, k) for k in range(r)], dtype=np.int64)
-    via_tensor = c @ chi
+    via_tensor = scheme.tensor @ chi
     closed = np.zeros((r, r), dtype=np.int64)
     closed[np.arange(r), scheme.transpose_of] = scheme.relation_sizes
     if not np.array_equal(via_tensor, closed):
         raise InternalCheckError("trace-form Gram matrix differs from its closed form")
-    return GramMatrix(rows=tuple(map(tuple, closed.tolist())), basis=tuple(range(r)))
+    return closed
 
 
 def transpose_pair_count(scheme: Scheme) -> int:
@@ -63,8 +54,7 @@ def discriminant_standard(scheme: Scheme) -> tuple[int, int]:
     non-symmetric transpose pairs.  The determinant is computed by
     elimination and the sign formula is checked against it.
     """
-    gram = gram_standard(scheme)
-    det = det_fraction_free(gram.rows)
+    det = det_fraction_free(gram_standard(scheme))
     sign = -1 if transpose_pair_count(scheme) % 2 else 1
     if det != sign * product_relation_sizes(scheme):
         raise InternalCheckError(

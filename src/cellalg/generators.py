@@ -1,5 +1,5 @@
 """Constructors for concrete schemes, the family specs that `cellalg gen`
-and the shared test corpus both build from, and the corpus itself.
+and the corpus both build from, and the corpus ids (`CORPUS_SPECS`).
 
 Schurian schemes come from permutation generators: relations are the orbits
 of the generated group acting on ordered pairs, found by flooding pairs with
@@ -11,7 +11,7 @@ relations between cells.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -350,9 +350,3 @@ def build_scheme(scheme_id: str) -> Scheme:
     if scheme_id not in CORPUS_SPECS:
         raise KeyError(f"unknown corpus scheme {scheme_id!r}")
     return from_spec(CORPUS_SPECS[scheme_id])
-
-
-@lru_cache(maxsize=1)
-def corpus() -> tuple[tuple[str, Scheme], ...]:
-    """The shared corpus, cached: tests and the CLI iterate the same list."""
-    return tuple((sid, build_scheme(sid)) for sid in corpus_ids())

@@ -3,8 +3,8 @@ characteristic polynomials, and structure-constant arithmetic.
 
 Integers are Python ints (arbitrary precision); rationals are
 fractions.Fraction.  Mod-p work uses int64 numpy arrays with explicit
-reduction; p stays far below the int64 overflow threshold for every input
-this package produces.
+reduction; radical.ModularAlgebra refuses primes from 2^31 on, and the
+primes the harness tests stay far below that.
 """
 
 from __future__ import annotations

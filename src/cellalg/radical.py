@@ -24,25 +24,31 @@ Two independent routes:
   after each step that shrinks the basis, and the chain stops at the
   first subspace that passes; one that ends without passing raises.
 
-* radical_oracle: enumerate every algebra element (budget permitting) and
-  keep those whose two-sided ideal is nilpotent.  Necessary conditions
-  prune first: trace zero (linear, so tested on coefficient vectors before
-  any matrix is built), then nilpotency by repeated squaring, dropping a
-  candidate as soon as one of its powers has nonzero trace.  In a
-  commutative algebra the radical is exactly the set of nilpotent
-  elements, so that is the answer; otherwise every x A_j must be nilpotent
-  too, and one span-power test on the ideal of all survivors accepts them
-  together, with one test per survivor only if it fails.  Exponential and
-  only for cross-checking the chain on small instances; it never uses the
-  chain or the trace-form kernel as a subspace.
+* radical_oracle: enumerate every algebra element (at most ORACLE_BUDGET
+  of them) and keep those whose two-sided ideal is nilpotent.  Necessary
+  conditions prune first: trace zero (linear, so tested on coefficient
+  vectors before any matrix is built), then nilpotency by repeated
+  squaring, dropping a candidate as soon as one of its powers has nonzero
+  trace.  In a commutative algebra the radical is exactly the set of
+  nilpotent elements, so that is the answer; otherwise every x A_j must be
+  nilpotent too, and one span-power test on the ideal of all survivors
+  accepts them together, with one test per survivor only if it fails.
+  Exponential and only for cross-checking the chain on small instances; it
+  never uses the chain or the trace-form kernel as a subspace.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
-routes are comparable array-for-array.
+routes are comparable array-for-array.  The prime must be below 2^31, so
+that a product of two residues fits in int64.
+
+central_nilpotent_witness builds, from the cell sizes alone, one central
+element that squares to zero mod p when p divides a cell size; the report
+checks that it lies in the chain's radical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -69,7 +75,6 @@ class BudgetExceeded(ValueError):
 class RadicalResult:
     dim: int
     basis: np.ndarray  # (dim, rank) echelonized coefficient vectors
-    method: str
 
 
 class ModularAlgebra:
@@ -78,12 +83,15 @@ class ModularAlgebra:
     left-regular module is used only when it is strictly smaller."""
 
     def __init__(self, scheme: Scheme, p: int):
+        # before is_prime, whose trial division runs for minutes on huge p
+        if p >= 1 << 31:
+            raise ValueError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.scheme = scheme
         self.p = p
         self.rank = scheme.rank
-        self.c = scheme.tensor.c % p
+        self.c = scheme.tensor % p
         if self.rank < scheme.size:
             self.mats = regular_matrices(self.c)[0] % p
         else:
@@ -162,7 +170,7 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
         if basis.shape[0] == 0 or (
             basis.shape[0] < d and _ideal_is_nilpotent(alg, basis)
         ):
-            return RadicalResult(dim=basis.shape[0], basis=basis, method="chain")
+            return RadicalResult(dim=basis.shape[0], basis=basis)
     raise InternalCheckError(
         f"chain basis {basis.tolist()} does not generate a nilpotent ideal"
     )
@@ -190,9 +198,9 @@ def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return mask
 
 
-def radical_oracle(alg: ModularAlgebra, budget: int = ORACLE_BUDGET) -> RadicalResult:
-    """Exhaustive radical: all p^rank elements, keeping generators of
-    nilpotent ideals.
+def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
+    """Exhaustive radical: all p^rank elements, at most ORACLE_BUDGET of
+    them, keeping generators of nilpotent ideals.
 
     Necessary conditions cut the candidates first: tr(x) = 0, checked on the
     coefficient vectors since the trace is linear, then x nilpotent and, in a
@@ -203,8 +211,8 @@ def radical_oracle(alg: ModularAlgebra, budget: int = ORACLE_BUDGET) -> RadicalR
     own.  Checks that the kept set is a subspace."""
     p, r = alg.p, alg.rank
     count = p**r
-    if count > budget:
-        raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {budget}")
+    if count > ORACLE_BUDGET:
+        raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
     idx = np.arange(count, dtype=np.int64)
     vecs = np.empty((count, r), dtype=np.int64)
     for pos in range(r):
@@ -235,50 +243,37 @@ def radical_oracle(alg: ModularAlgebra, budget: int = ORACLE_BUDGET) -> RadicalR
             f"oracle kept {len(members)} elements, not the {p}^{basis.shape[0]} "
             "of a subspace"
         )
-    return RadicalResult(dim=basis.shape[0], basis=basis, method="oracle")
-
-
-def is_semisimple(scheme: Scheme, p: int) -> bool:
-    return radical_chain(modular_algebra(scheme, p)).dim == 0
+    return RadicalResult(dim=basis.shape[0], basis=basis)
 
 
 def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
     """Explicit nonzero central element squaring to zero mod p, built from
     cell-block all-ones matrices; exists whenever p divides a cell size.
 
-    With exactly one p-divisible cell the coefficient of J_X is the product
-    of the other cell sizes.  When every cell is p-divisible, J_X is scaled
-    by p^(lam - a_X) / (odd part of |X|) where |X| = p^a_X * (odd part) and
-    lam is the largest a_X.  The same scaling also covers the mixed case
-    with two or more p-divisible cells, where the size-product coefficients
-    would all vanish mod p.
+    Over Q, sum_X J_X / |X| is central: for a relation R in the fiber
+    X x Y, (J_X / |X|) A_R = |R| J_XY / (|X| |Y|) = A_R (J_Y / |Y|).  Write
+    |X| = p^a_X * u_X with u_X prime to p and let lam be the largest a_X.
+    Scaled by p^lam * prod u_Y, the coefficient of J_X is
+    p^(lam - a_X) * prod_{Y != X} u_Y, which mod p survives only on the
+    cells with a_X = lam.  Distinct J_X multiply to 0 and J_X^2 = |X| J_X,
+    so the square vanishes when lam >= 1; with lam = 0 there is no witness.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    cell_sizes = [len(x) for x in scheme.cells]
-    if all(s % p for s in cell_sizes):
+    vals = []
+    for s in (len(x) for x in scheme.cells):
+        a = 0
+        while s % p == 0:
+            a += 1
+            s //= p
+        vals.append((a, s))
+    lam = max(a for a, _ in vals)
+    if lam == 0:
         return None
-    divisible = sum(1 for s in cell_sizes if s % p == 0)
-    if divisible == 1:
-        coeffs = []
-        for i in range(len(cell_sizes)):
-            prod_others = 1
-            for j, s in enumerate(cell_sizes):
-                if j != i:
-                    prod_others = prod_others * s % p
-            coeffs.append(prod_others)
-    else:
-        vals = []
-        for s in cell_sizes:
-            a = 0
-            while s % p == 0:
-                a += 1
-                s //= p
-            vals.append((a, s))
-        lam = max(a for a, _ in vals)
-        coeffs = [
-            (p ** (lam - a) % p) * pow(unit, -1, p) % p for a, unit in vals
-        ]
+    coeffs = [
+        prod(u for j, (_, u) in enumerate(vals) if j != i) % p if a == lam else 0
+        for i, (a, _) in enumerate(vals)
+    ]
     vec = np.zeros(scheme.rank, dtype=np.int64)
     for rel in range(scheme.rank):
         fiber = scheme.fiber_of[rel]
@@ -286,16 +281,16 @@ def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
             vec[rel] = coeffs[fiber[0]]
     if not vec.any():
         raise InternalCheckError(f"witness mod {p} is zero")
-    c = scheme.tensor.c
-    for rel in range(scheme.rank):
-        e = np.zeros(scheme.rank, dtype=np.int64)
-        e[rel] = 1
-        if not np.array_equal(
-            multiply_mod(vec, e, c, p), multiply_mod(e, vec, c, p)
-        ):
-            raise InternalCheckError(
-                f"witness mod {p} does not commute with basis element {rel}"
-            )
+    c = scheme.tensor
+    r = scheme.rank
+    left, right = regular_matrices(c)
+    # column s: coefficients of vec A_s - A_s vec
+    commutators = (vec @ (left - right).reshape(r, r * r) % p).reshape(r, r)
+    bad = np.flatnonzero(commutators.any(axis=0))
+    if bad.size:
+        raise InternalCheckError(
+            f"witness mod {p} does not commute with basis element {bad[0]}"
+        )
     if multiply_mod(vec, vec, c, p).any():
         raise InternalCheckError(f"witness mod {p} does not square to zero")
     return vec

@@ -34,17 +34,6 @@ class InternalCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IntersectionTensor:
-    """Structure constants c[i][j][k]: A_i A_j = sum_k c[i][j][k] A_k."""
-
-    c: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.c.shape[0]
-
-
-@dataclass(frozen=True)
 class RelationStats:
     """Per-relation size, out/in degree, and fiber (source cell, target cell)."""
 
@@ -107,10 +96,14 @@ class Scheme:
 
     @cached_property
     def transpose_of(self) -> tuple[int, ...]:
-        return transpose_map(self)
+        """rel -> relation of the transposed pairs (an involution)."""
+        first = np.unique(self.colors.ravel(), return_index=True)[1]
+        return tuple(self.colors.T.ravel()[first].tolist())
 
     @cached_property
-    def tensor(self) -> IntersectionTensor:
+    def tensor(self) -> np.ndarray:
+        """Certified, read-only structure constants c[i][j][k]:
+        A_i A_j = sum_k c[i][j][k] A_k."""
         return verify_regularity(self)
 
     @cached_property
@@ -120,12 +113,6 @@ class Scheme:
     @cached_property
     def flags(self) -> SchemeFlags:
         return classify(self)
-
-    def identity_element(self) -> np.ndarray:
-        """Coefficients of the identity matrix: 1 on each diagonal relation."""
-        e = np.zeros(self.rank, dtype=np.int64)
-        e[list(self.diagonal_colors)] = 1
-        return e
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.colors, other.colors)
@@ -212,17 +199,9 @@ def from_color_matrix(matrix) -> Scheme:
     return Scheme(_canonical_relabel(colors))
 
 
-def transpose_map(scheme: Scheme) -> tuple[int, ...]:
-    """rel -> relation of the transposed pairs (an involution)."""
-    out = []
-    for c in range(scheme.rank):
-        rows, cols = np.nonzero(scheme.colors == c)
-        out.append(int(scheme.colors[cols[0], rows[0]]))
-    return tuple(out)
-
-
-def verify_regularity(scheme: Scheme) -> IntersectionTensor:
-    """Certify the regularity axiom and return the intersection tensor.
+def verify_regularity(scheme: Scheme) -> np.ndarray:
+    """Certify the regularity axiom and return the intersection tensor, a
+    read-only (r, r, r) int64 array.
 
     For each pair of relations (i, j), the number of midpoints v with
     (u,v) in R_i and (v,w) in R_j must depend only on the relation of (u,w).
@@ -254,7 +233,7 @@ def verify_regularity(scheme: Scheme) -> IntersectionTensor:
                 witness=(i, j, k, p0, v0, p1, v1),
             )
     c.flags.writeable = False
-    return IntersectionTensor(c)
+    return c
 
 
 def relation_stats(scheme: Scheme) -> RelationStats:
@@ -306,10 +285,10 @@ def relation_stats(scheme: Scheme) -> RelationStats:
 
 def classify(scheme: Scheme) -> SchemeFlags:
     """Homogeneity, commutativity and symmetry flags (tensor-certified)."""
-    tensor = scheme.tensor
+    c = scheme.tensor
     homogeneous = len(scheme.cells) == 1
-    commutative = bool(np.array_equal(tensor.c, tensor.c.transpose(1, 0, 2)))
-    symmetric = all(t == i for i, t in enumerate(transpose_map(scheme)))
+    commutative = bool(np.array_equal(c, c.transpose(1, 0, 2)))
+    symmetric = all(t == i for i, t in enumerate(scheme.transpose_of))
     if symmetric and not commutative:
         raise InternalCheckError("symmetric scheme with a non-commutative tensor")
     if commutative and not homogeneous:

@@ -79,17 +79,13 @@ class FrameNumber:
     frame: int
     quotient: Fraction
 
-    @property
-    def quotient_integral(self) -> bool:
-        return self.quotient.denominator == 1
-
 
 def center_basis(scheme: Scheme) -> list[list[int]]:
     """Exact basis of the center: joint kernel of all commutator maps,
     scaled to primitive integer vectors.  Zero and repeated commutator rows
     are dropped before the exact elimination; with none left the center is
     the whole algebra."""
-    left, right = regular_matrices(scheme.tensor.c)
+    left, right = regular_matrices(scheme.tensor)
     rows = (left - right).reshape(-1, scheme.rank)
     # a dict, not np.unique, whose first call in a process costs ~20 ms
     rows = list(dict.fromkeys(map(tuple, rows[rows.any(axis=1)].tolist())))
@@ -102,7 +98,7 @@ def regular_discriminant(scheme: Scheme) -> int:
     """|det G_reg| of the regular trace form, exactly: G_reg[i][j] =
     sum_k c_ijk tr(L_k), with tr(L_k) = sum_s c_kss the trace of left
     multiplication by A_k."""
-    c = scheme.tensor.c
+    c = scheme.tensor
     return abs(det_fraction_free(c @ np.einsum("kss->k", c)))
 
 

@@ -3,10 +3,14 @@ structure-constant products, group-axiom checks, the regularity check,
 direct-product tables, the center from every commutator row, nilpotency by
 plain squaring, the exhaustive radical with one ideal test per element, the
 nilpotent-ideal test by one three-operand einsum and the radical chain run
-through every step with every ordered pair."""
+through every step with every ordered pair.  Also the corpus, built once for
+all test modules."""
+
+from functools import lru_cache
 
 import numpy as np
 
+from cellalg.generators import build_scheme, corpus_ids
 from cellalg.linalg import (
     charpoly_mod_p,
     kernel_mod_p,
@@ -106,7 +110,7 @@ def product_table_by_loops(a, b) -> np.ndarray:
 
 def center_by_all_rows(scheme) -> list[list[int]]:
     """Center basis from the exact kernel of all r^3 commutator rows."""
-    left, right = regular_matrices(scheme.tensor.c)
+    left, right = regular_matrices(scheme.tensor)
     kernel = kernel_rational((left - right).reshape(-1, scheme.rank).tolist())
     return [primitive_integer_vector(v) for v in kernel]
 
@@ -188,3 +192,9 @@ def radical_chain_all_steps(alg) -> np.ndarray:
     if basis.shape[0] and not _ideal_is_nilpotent(alg, basis):
         raise InternalCheckError(f"chain basis {basis.tolist()} is not nilpotent")
     return basis
+
+
+@lru_cache(maxsize=1)
+def corpus() -> tuple:
+    """(id, scheme) for every corpus scheme, in id order."""
+    return tuple((sid, build_scheme(sid)) for sid in corpus_ids())

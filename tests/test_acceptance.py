@@ -13,10 +13,11 @@ from cellalg.discriminant import (
     product_relation_sizes,
     transpose_pair_count,
 )
-from cellalg.generators import corpus, corpus_ids
+from cellalg.generators import corpus_ids
 from cellalg.harness import to_json_line, verify_corpus
 from cellalg.radical import ORACLE_BUDGET
 from cellalg.wedderburn import decompose
+from reference import corpus
 
 
 def test_criterion_1_corpus_composition():

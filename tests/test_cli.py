@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,6 +89,17 @@ def test_radical_rejects_nonprime(capsys, tmp_path):
     code, _, err = run(capsys, ["radical", path, "--p", "4"])
     assert code == 2
     assert "prime" in err
+
+
+def test_radical_rejects_huge_p_at_once(capsys, tmp_path):
+    # 2^61 - 1 is prime, but trial division up to its square root runs for
+    # minutes; the bound on p is checked first
+    path = write_scheme(tmp_path, RANK2_3_FILE)
+    start = time.monotonic()
+    code, _, err = run(capsys, ["radical", path, "--p", str(2**61 - 1)])
+    assert time.monotonic() - start < 10
+    assert code == 2
+    assert "below 2^31" in err
 
 
 def test_info_output(capsys, tmp_path):

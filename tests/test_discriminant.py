@@ -24,7 +24,6 @@ from cellalg.discriminant import (
     transpose_pair_count,
 )
 from cellalg.generators import (
-    corpus,
     cyclic_table,
     direct_sum,
     discrete,
@@ -33,6 +32,7 @@ from cellalg.generators import (
     thin_group_scheme,
 )
 from cellalg.scheme import InternalCheckError
+from reference import corpus
 
 
 def gram_by_matrix_traces(scheme):
@@ -53,12 +53,12 @@ def test_standard_character_frozen():
 
 def test_gram_rank2_3():
     g = gram_standard(rank2(3))
-    assert [list(r) for r in g.rows] == [[3, 0], [0, 6]]
+    assert g.tolist() == [[3, 0], [0, 6]]
 
 
 def test_gram_discrete_2():
     g = gram_standard(discrete(2))
-    assert [list(r) for r in g.rows] == [
+    assert g.tolist() == [
         [1, 0, 0, 0],
         [0, 1, 0, 0],
         [0, 0, 0, 1],
@@ -68,7 +68,7 @@ def test_gram_discrete_2():
 
 def test_gram_thin_z2():
     g = gram_standard(thin_group_scheme(cyclic_table(2)))
-    assert [list(r) for r in g.rows] == [[2, 0], [0, 2]]
+    assert g.tolist() == [[2, 0], [0, 2]]
 
 
 def test_discriminant_frozen_values():
@@ -102,14 +102,14 @@ def test_transpose_pair_count():
 def test_gram_matches_matrix_traces(sid):
     scheme = dict(corpus())[sid]
     g = gram_standard(scheme)
-    assert [list(r) for r in g.rows] == gram_by_matrix_traces(scheme)
+    assert g.tolist() == gram_by_matrix_traces(scheme)
 
 
 def test_gram_matches_matrix_traces_past_corpus():
     for scheme in (thin_group_scheme(symmetric_table(4)), discrete(6),
                    thin_group_scheme(cyclic_table(30))):
         g = gram_standard(scheme)
-        assert [list(r) for r in g.rows] == gram_by_matrix_traces(scheme)
+        assert g.tolist() == gram_by_matrix_traces(scheme)
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from cellalg import generators
 from cellalg.generators import (
     build_scheme,
     check_group_table,
-    corpus,
     corpus_ids,
     cyclic_table,
     dihedral_table,
@@ -27,7 +26,7 @@ from cellalg.generators import (
     thin_group_scheme,
 )
 from cellalg.scheme import SchemeError
-from reference import group_table_error, product_table_by_loops
+from reference import corpus, group_table_error, product_table_by_loops
 
 # latin square with identity and two-sided inverses that is not associative
 NON_GROUP_LOOP = [
@@ -282,7 +281,7 @@ def test_corpus_schemes_are_regular():
 def test_corpus_tensor_degree_identities():
     # c[i][i^t][diag(source)] = out-degree, c[i^t][i][diag(target)] = in-degree
     for sid, s in corpus():
-        c = s.tensor.c
+        c = s.tensor
         st = s.stats
         for rel in range(s.rank):
             it = s.transpose_of[rel]

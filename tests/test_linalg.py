@@ -211,7 +211,7 @@ def test_multiply_matrix_units():
 
 def test_multiply_mod_agrees_with_exact():
     # the 2 x 2 matrix units, and the non-commutative thin S_3
-    s3 = thin_group_scheme(symmetric_table(3)).tensor.c
+    s3 = thin_group_scheme(symmetric_table(3)).tensor
     rng = np.random.default_rng(7)
     for c in (matrix_unit_tensor(), s3):
         for p in (2, 5):

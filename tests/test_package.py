@@ -1,6 +1,7 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import cellalg
@@ -32,3 +33,56 @@ def test_einsum_has_at_most_two_operands():
         and len(node.args) > 3
     ]
     assert found == []
+
+
+def _definitions(tree):
+    """(name, line) of the functions and classes of a module and the
+    methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item.lineno
+
+
+def test_every_definition_is_used_by_the_package():
+    # a helper only tests call belongs in the tests; a re-export in
+    # __init__.py is not a use
+    trees = {
+        path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = [
+        f"{name}:{line} {fname}"
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for fname, line in _definitions(tree)
+        if not (fname.startswith("__") and fname.endswith("__")) and fname not in used
+    ]
+    assert unused == []
+
+
+def test_benchmark_trace_targets_exist():
+    # the benchmark's tracer looks up each (layer, function) pair by name and
+    # stops on a missing one; read the list without importing the benchmark
+    spans = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]
+    )
+    assert targets
+    missing = [
+        f"{layer}.{name}"
+        for layer, name, _ in targets
+        if not callable(getattr(importlib.import_module(f"cellalg.{layer}"), name, None))
+    ]
+    assert missing == []
