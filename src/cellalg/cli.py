@@ -18,6 +18,7 @@ import numpy as np
 from .generators import corpus_ids, from_spec
 from .harness import (
     VerifyOptions,
+    encode_quotient,
     read_reports,
     summarize,
     to_json_line,
@@ -26,7 +27,7 @@ from .harness import (
     write_reports,
 )
 from .radical import modular_algebra, radical_chain
-from .scheme import Scheme, SchemeError, from_color_matrix
+from .scheme import Scheme, SchemeError, classify, from_color_matrix, relation_stats
 from .wedderburn import decompose, frame_number
 
 
@@ -74,10 +75,6 @@ def _load_scheme(args) -> Scheme:
     return scheme
 
 
-def _quotient_str(q) -> str:
-    return str(int(q)) if q.denominator == 1 else str(q)
-
-
 def _blocks_str(blocks) -> str:
     return "[" + ",".join(f"({f},{m})" for f, m in blocks) + "]"
 
@@ -90,8 +87,8 @@ def cmd_gen(args) -> int:
 
 def cmd_info(args) -> int:
     scheme = _load_scheme(args)
-    stats = scheme.stats
-    flags = scheme.flags
+    stats = relation_stats(scheme)
+    flags = classify(scheme)
     print(f"n={scheme.size} r={scheme.rank} cells={[len(c) for c in scheme.cells]}")
     print(
         f"flags: homogeneous={str(flags.homogeneous).lower()}"
@@ -102,7 +99,7 @@ def cmd_info(args) -> int:
     for rel in range(scheme.rank):
         fiber = scheme.fiber_of[rel]
         print(
-            f"{rel} {stats.sizes[rel]} {stats.out_degrees[rel]}"
+            f"{rel} {scheme.relation_sizes[rel]} {stats.out_degrees[rel]}"
             f" {stats.in_degrees[rel]} ({fiber[0]},{fiber[1]})"
         )
     digest = hashlib.sha256()
@@ -117,7 +114,7 @@ def cmd_frame(args) -> int:
     wd = decompose(scheme, seed=args.seed)
     fn = frame_number(scheme, wd)
     print(
-        f"blocks={_blocks_str(wd.blocks)} F={fn.frame} N={_quotient_str(fn.quotient)}"
+        f"blocks={_blocks_str(wd.blocks)} F={fn.frame} N={encode_quotient(fn.quotient)}"
     )
     return 0
 
@@ -153,6 +150,8 @@ def cmd_verify(args) -> int:
     options = VerifyOptions(seed=args.seed)
     if args.corpus == (args.file is not None):
         raise UsageError("give exactly one of a scheme file or --corpus")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, not {args.jobs}")
     if args.file is not None:
         scheme = _load_scheme(args)
         report = verify_scheme(Path(args.file).stem, scheme, options)

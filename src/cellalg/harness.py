@@ -54,7 +54,7 @@ def tested_primes(scheme: Scheme) -> list[int]:
     return sorted(set(candidate_primes(scheme)) | set(primes_upto(PRIME_BOUND)))
 
 
-def _encode_quotient(q: Fraction):
+def encode_quotient(q: Fraction):
     return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -79,7 +79,6 @@ def verify_scheme(
     try:
         disc, sign = discriminant_standard(scheme)
     except Exception:
-        disc = sign = None
         stages_ok = False
 
     blocks = frame = quotient = None
@@ -92,7 +91,6 @@ def verify_scheme(
         if quotient.denominator != 1:
             stages_ok = False
     except Exception:
-        blocks = frame = quotient = None
         stages_ok = False
 
     rows = []
@@ -152,7 +150,7 @@ def verify_scheme(
         "disc_sign": sign,
         "blocks": blocks,
         "frame": frame,
-        "frame_quotient": None if quotient is None else _encode_quotient(quotient),
+        "frame_quotient": None if quotient is None else encode_quotient(quotient),
         "rows": rows,
         "pass": stages_ok and all(_row_passes(row) for row in rows),
     }
@@ -182,11 +180,11 @@ def verify_corpus(
         ids = corpus_ids()
     ids = sorted(ids)
     if jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             reports = list(pool.map(_verify_worker, ids, repeat(options)))
     else:
         reports = [_verify_worker(sid, options) for sid in ids]
-    reports.sort(key=lambda rep: rep["scheme_id"])
     return reports, summarize(reports)
 
 

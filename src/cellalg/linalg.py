@@ -201,12 +201,12 @@ def det_fraction_free(mat) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def charpoly_mod_p(mats: np.ndarray, p: int, terms: int | None = None) -> np.ndarray:
+def charpoly_mod_p(mats: np.ndarray, p: int, terms: int) -> np.ndarray:
     """Characteristic polynomials of a batch of matrices over F_p.
 
     mats has shape (B, n, n); returns shape (B, k+1) with coefficients of
-    det(tI - M) ordered from t^n down to t^(n-k), where k = min(terms, n)
-    and no terms means the whole polynomial (k = n).  Uses a division-free
+    det(tI - M) ordered from t^n down to t^(n-k), where k = min(terms, n),
+    so terms = n gives the whole polynomial.  Uses a division-free
     (Berkowitz-style) recurrence, so it is valid in any characteristic.
     The recurrence is lower triangular, so the leading k+1 coefficients
     need only the first k+1 entries of each Toeplitz column.
@@ -215,9 +215,9 @@ def charpoly_mod_p(mats: np.ndarray, p: int, terms: int | None = None) -> np.nda
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("expected a batch of square matrices")
     batch, n, _ = a.shape
-    if terms is not None and terms < 0:
+    if terms < 0:
         raise ValueError("terms must be non-negative")
-    width = n + 1 if terms is None else min(terms, n) + 1
+    width = min(terms, n) + 1
     coeffs = np.ones((batch, 1), dtype=np.int64)
     for i in range(n):
         # charpoly of the leading (i+1) x (i+1) block, first w coefficients

@@ -88,7 +88,6 @@ class ModularAlgebra:
             raise ValueError(f"p = {p} is too large: the prime must be below 2^31")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        self.scheme = scheme
         self.p = p
         self.rank = scheme.rank
         self.c = scheme.tensor % p

@@ -6,10 +6,10 @@ is a union of colors, and that colors are closed under transposition.
 The regularity axiom (constant intersection numbers) is certified separately
 by verify_regularity, which produces the intersection tensor.
 
-Relations are canonically numbered: diagonal relations first, ordered by the
-smallest point of their cell, then off-diagonal relations in row-major order
-of first occurrence.  This makes serialized schemes and all downstream bases
-reproducible.
+Relations are canonically numbered: relations in the order of their first
+pair, diagonal ones first.  A diagonal relation's first pair is (u, u) for
+the smallest point u of its cell.  This makes serialized schemes and all
+downstream bases reproducible.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ class InternalCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class RelationStats:
-    """Per-relation size, out/in degree, and fiber (source cell, target cell)."""
+    """Per-relation out- and in-degree; sizes are Scheme.relation_sizes and
+    fibers Scheme.fiber_of."""
 
-    sizes: tuple[int, ...]
     out_degrees: tuple[int, ...]
     in_degrees: tuple[int, ...]
-    source_cells: tuple[int, ...]
-    target_cells: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -60,28 +58,28 @@ class Scheme:
 
     def __init__(self, colors: np.ndarray):
         colors = np.asarray(colors, dtype=np.int64)
-        self.size = int(colors.shape[0])
+        n = self.size = int(colors.shape[0])
         self.rank = int(colors.max()) + 1
         self.colors = colors
-        diag = colors.diagonal()
-        diag_set = sorted(set(diag.tolist()))
-        self.diagonal_colors = tuple(diag_set)
+        diag_colors, point_cell = np.unique(colors.diagonal(), return_inverse=True)
+        self.diagonal_colors = tuple(diag_colors.tolist())
         self.cells = tuple(
-            tuple(np.nonzero(diag == c)[0].tolist()) for c in diag_set
+            tuple(np.nonzero(point_cell == x)[0].tolist()) for x in range(diag_colors.size)
         )
-        point_cell = np.zeros(self.size, dtype=np.int64)
-        for idx, cell in enumerate(self.cells):
-            point_cell[list(cell)] = idx
         self.point_cell = point_cell
-        fibers = []
-        for rel in range(self.rank):
-            rows, cols = np.nonzero(colors == rel)
-            src = set(point_cell[rows].tolist())
-            tgt = set(point_cell[cols].tolist())
-            fibers.append((src.pop(), tgt.pop()) if len(src) == 1 and len(tgt) == 1 else None)
-        self.fiber_of = tuple(fibers)
-        colors.flags.writeable = False
-        point_cell.flags.writeable = False
+        # first_pair[k]: flat index of the first row-major pair of relation k;
+        # a relation lies in one fiber when each pair lies in its first pair's
+        first = self.first_pair = np.unique(colors, return_index=True)[1]
+        src, tgt = point_cell[first // n], point_cell[first % n]
+        leaves = (src[colors] != point_cell[:, None]) | (tgt[colors] != point_cell)
+        stray = np.zeros(self.rank, dtype=bool)
+        stray[colors[leaves]] = True
+        self.fiber_of = tuple(
+            None if out else (x, y)
+            for out, x, y in zip(stray.tolist(), src.tolist(), tgt.tolist())
+        )
+        for a in (colors, point_cell, first):
+            a.flags.writeable = False
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -97,22 +95,13 @@ class Scheme:
     @cached_property
     def transpose_of(self) -> tuple[int, ...]:
         """rel -> relation of the transposed pairs (an involution)."""
-        first = np.unique(self.colors.ravel(), return_index=True)[1]
-        return tuple(self.colors.T.ravel()[first].tolist())
+        return tuple(self.colors.T.ravel()[self.first_pair].tolist())
 
     @cached_property
     def tensor(self) -> np.ndarray:
         """Certified, read-only structure constants c[i][j][k]:
         A_i A_j = sum_k c[i][j][k] A_k."""
         return verify_regularity(self)
-
-    @cached_property
-    def stats(self) -> RelationStats:
-        return relation_stats(self)
-
-    @cached_property
-    def flags(self) -> SchemeFlags:
-        return classify(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.colors, other.colors)
@@ -124,26 +113,14 @@ class Scheme:
         return f"Scheme(n={self.size}, rank={self.rank}, cells={len(self.cells)})"
 
 
-def _canonical_relabel(colors: np.ndarray) -> np.ndarray:
-    """Renumber colors: diagonal ones first (by smallest cell point), then
-    off-diagonal ones by first row-major occurrence."""
-    n = colors.shape[0]
-    nrel = int(colors.max()) + 1
-    diag = colors.diagonal()
-    relabel = np.full(nrel, -1, dtype=np.int64)
-    nxt = 0
-    seen_diag = set()
-    for u in range(n):
-        c = int(diag[u])
-        if c not in seen_diag:
-            seen_diag.add(c)
-            relabel[c] = nxt
-            nxt += 1
-    flat = colors.ravel()
-    for c in flat.tolist():
-        if relabel[c] < 0:
-            relabel[c] = nxt
-            nxt += 1
+def _canonical_relabel(colors: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Renumber colors in the order of their first pair, diagonal ones first.
+
+    Needs diagonal closure, so that a diagonal color's first pair is (u, u)
+    for the smallest point u of its cell."""
+    off_diag = first // colors.shape[0] != first % colors.shape[0]
+    relabel = np.empty(first.size, dtype=np.int64)
+    relabel[np.argsort(first + colors.size * off_diag)] = np.arange(first.size)
     return relabel[colors]
 
 
@@ -172,12 +149,10 @@ def from_color_matrix(matrix) -> Scheme:
             witness=int(missing[0]),
         )
 
-    diag_colors = set(colors.diagonal().tolist())
-    off = colors[~np.eye(n, dtype=bool)] if n > 1 else np.empty(0, dtype=np.int64)
-    off_colors = set(off.tolist())
-    both = diag_colors & off_colors
-    if both:
-        c = min(both)
+    on_diag = np.bincount(colors.diagonal(), minlength=nrel)
+    both = np.nonzero((on_diag > 0) & (present > on_diag))[0]
+    if both.size:
+        c = int(both[0])
         u = int(np.nonzero(colors.diagonal() == c)[0][0])
         rows, cols = np.nonzero((colors == c) & ~np.eye(n, dtype=bool))
         raise SchemeError(
@@ -186,17 +161,20 @@ def from_color_matrix(matrix) -> Scheme:
             witness=(c, (u, u), (int(rows[0]), int(cols[0]))),
         )
 
-    # transpose closure
-    transposed = colors.T
-    for c in range(nrel):
-        imgs = set(transposed[colors == c].tolist())
-        if len(imgs) != 1:
-            raise SchemeError(
-                f"transpose of relation {c} meets relations {sorted(imgs)}",
-                witness=(c, sorted(imgs)),
-            )
+    # transpose closure: every pair's transpose has the color of the
+    # transpose of its relation's first pair
+    first = np.unique(colors, return_index=True)[1]
+    image = colors.T.ravel()[first]
+    bad = image[colors] != colors.T
+    if bad.any():
+        c = int(colors[bad].min())
+        imgs = np.unique(colors.T[colors == c]).tolist()
+        raise SchemeError(
+            f"transpose of relation {c} meets relations {imgs}",
+            witness=(c, imgs),
+        )
 
-    return Scheme(_canonical_relabel(colors))
+    return Scheme(_canonical_relabel(colors, first))
 
 
 def verify_regularity(scheme: Scheme) -> np.ndarray:
@@ -212,8 +190,7 @@ def verify_regularity(scheme: Scheme) -> np.ndarray:
     n = scheme.size
     adj = scheme.adjacency
     flat_colors = scheme.colors.ravel()
-    # first[k]: flat index of the first pair of color k
-    first = np.unique(flat_colors, return_index=True)[1]
+    first = scheme.first_pair
     c = np.zeros((r, r, r), dtype=np.int64)
     for i in range(r):
         # counts[j, uw]: midpoints v with (u,v) in R_i and (v,w) in R_j
@@ -237,14 +214,12 @@ def verify_regularity(scheme: Scheme) -> np.ndarray:
 
 
 def relation_stats(scheme: Scheme) -> RelationStats:
-    """Sizes, degrees and fibers.  Requires a certified scheme; the counting
+    """Out- and in-degrees.  Requires a certified scheme; the counting
     identities it checks cannot fail after verify_regularity."""
     scheme.tensor  # certify
     sizes = scheme.relation_sizes
     out_d = []
     in_d = []
-    src = []
-    tgt = []
     for rel in range(scheme.rank):
         fiber = scheme.fiber_of[rel]
         if fiber is None:
@@ -257,8 +232,6 @@ def relation_stats(scheme: Scheme) -> RelationStats:
             raise InternalCheckError(f"relation {rel} has no constant degrees")
         out_d.append(int(row_counts[0]))
         in_d.append(int(col_counts[0]))
-        src.append(x)
-        tgt.append(y)
         # |X| d_out = |R| = |Y| d_in
         size_x, size_y = len(scheme.cells[x]), len(scheme.cells[y])
         if not size_x * out_d[-1] == sizes[rel] == size_y * in_d[-1]:
@@ -274,13 +247,7 @@ def relation_stats(scheme: Scheme) -> RelationStats:
                 raise InternalCheckError(
                     f"degrees over fiber ({x},{y}) do not sum to the cell sizes"
                 )
-    return RelationStats(
-        sizes=sizes,
-        out_degrees=tuple(out_d),
-        in_degrees=tuple(in_d),
-        source_cells=tuple(src),
-        target_cells=tuple(tgt),
-    )
+    return RelationStats(out_degrees=tuple(out_d), in_degrees=tuple(in_d))
 
 
 def classify(scheme: Scheme) -> SchemeFlags:

@@ -174,7 +174,7 @@ def decompose(scheme: Scheme, seed: int = 0) -> WedderburnData:
     )
 
 
-def frame_number(scheme: Scheme, wd: WedderburnData | None = None) -> FrameNumber:
+def frame_number(scheme: Scheme, wd: WedderburnData) -> FrameNumber:
     """Exact Frame number and its cell-normalized quotient.
 
     The product of relation sizes must be divisible by the product of
@@ -182,8 +182,6 @@ def frame_number(scheme: Scheme, wd: WedderburnData | None = None) -> FrameNumbe
     The quotient is expected to be an integer for every scheme; callers
     treat a non-integral quotient as a reportable finding, not a crash.
     """
-    if wd is None:
-        wd = decompose(scheme)
     numer = product_relation_sizes(scheme)
     denom = prod(m ** (f * f) for f, m in wd.blocks)
     frame, rem = divmod(numer, denom)

@@ -1,12 +1,14 @@
 """Plain-loop references the tests compare the package against: exact
 structure-constant products, group-axiom checks, the regularity check,
-direct-product tables, the center from every commutator row, nilpotency by
+the construction checks and relation facts of a color matrix, direct-product
+tables, the center from every commutator row, nilpotency by
 plain squaring, the exhaustive radical with one ideal test per element, the
 nilpotent-ideal test by one three-operand einsum and the radical chain run
 through every step with every ordered pair.  Also the corpus, built once for
 all test modules."""
 
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -94,6 +96,75 @@ def regularity_by_loops(scheme):
                     return None, (message, (i, j, k, p0, v0, p1, v1))
                 c[i, j, k] = v0
     return c, None
+
+
+def scheme_facts_by_loops(matrix):
+    """(facts, None) or (None, (message, witness)) for a square non-negative
+    color matrix, from one color or relation at a time, worded as
+    from_color_matrix words its failures.  facts holds colors, cells,
+    point_cell, fiber_of and transpose_of as lists and tuples, and tensor:
+    the tensor as nested lists, or the (message, witness) of the regularity
+    failure."""
+    colors = np.asarray(matrix, dtype=np.int64)
+    n = colors.shape[0]
+    nrel = int(colors.max()) + 1
+    for c in range(nrel):
+        if not (colors == c).any():
+            return None, (f"color {c} missing: colors must be contiguous 0..{nrel - 1}", c)
+    off = ~np.eye(n, dtype=bool)
+    for c in range(nrel):
+        on = np.nonzero(colors.diagonal() == c)[0]
+        rows, cols = np.nonzero((colors == c) & off)
+        if on.size and rows.size:
+            u, pair = int(on[0]), (int(rows[0]), int(cols[0]))
+            message = (
+                f"relation {c} contains diagonal pair ({u},{u}) "
+                f"and off-diagonal pair ({pair[0]},{pair[1]})"
+            )
+            return None, (message, (c, (u, u), pair))
+    for c in range(nrel):
+        imgs = sorted(set(colors.T[colors == c].tolist()))
+        if len(imgs) != 1:
+            return None, (f"transpose of relation {c} meets relations {imgs}", (c, imgs))
+
+    # diagonal colors by their smallest point, then the rest by first
+    # row-major occurrence
+    relabel = {}
+    for c in colors.diagonal().tolist() + colors.ravel().tolist():
+        relabel.setdefault(c, len(relabel))
+    colors = np.array([[relabel[c] for c in row] for row in colors.tolist()])
+
+    diag = colors.diagonal().tolist()
+    diag_colors = sorted(set(diag))
+    cells = tuple(tuple(u for u in range(n) if diag[u] == c) for c in diag_colors)
+    point_cell = [0] * n
+    for x, cell in enumerate(cells):
+        for u in cell:
+            point_cell[u] = x
+    fiber_of = []
+    transpose_of = []
+    for rel in range(nrel):
+        pairs = [(u, v) for u in range(n) for v in range(n) if colors[u, v] == rel]
+        src = {point_cell[u] for u, _ in pairs}
+        tgt = {point_cell[v] for _, v in pairs}
+        fiber_of.append((src.pop(), tgt.pop()) if len(src) == len(tgt) == 1 else None)
+        u, v = pairs[0]
+        transpose_of.append(int(colors[v, u]))
+    shape = SimpleNamespace(
+        rank=nrel,
+        size=n,
+        colors=colors,
+        adjacency=np.stack([colors == k for k in range(nrel)]).astype(np.int64),
+    )
+    tensor, failure = regularity_by_loops(shape)
+    return {
+        "colors": colors.tolist(),
+        "cells": cells,
+        "point_cell": point_cell,
+        "fiber_of": tuple(fiber_of),
+        "transpose_of": tuple(transpose_of),
+        "tensor": failure if tensor is None else tensor.tolist(),
+    }, None
 
 
 def product_table_by_loops(a, b) -> np.ndarray:

@@ -215,6 +215,13 @@ def test_verify_requires_one_target(capsys, tmp_path):
     assert run(capsys, ["verify", path, "--corpus"])[0] == 2
 
 
+def test_verify_rejects_jobs_below_one(capsys, monkeypatch):
+    monkeypatch.setattr("cellalg.cli.verify_corpus", None)
+    code, _, err = run(capsys, ["verify", "--corpus", "--jobs", "0"])
+    assert code == 2
+    assert "--jobs" in err
+
+
 def test_verify_failing_report_exits_1(capsys, tmp_path, monkeypatch):
     path = write_scheme(tmp_path, RANK2_3_FILE)
 

@@ -25,7 +25,7 @@ from cellalg.generators import (
     symmetric_table,
     thin_group_scheme,
 )
-from cellalg.scheme import SchemeError
+from cellalg.scheme import SchemeError, classify, relation_stats
 from reference import corpus, group_table_error, product_table_by_loops
 
 # latin square with identity and two-sided inverses that is not associative
@@ -110,16 +110,16 @@ def test_thin_cyclic():
     assert s3.colors.tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     assert s3.transpose_of == (0, 2, 1)
     # every relation of a thin scheme is a permutation: all degrees 1
-    assert s3.stats.out_degrees == (1, 1, 1)
+    assert relation_stats(s3).out_degrees == (1, 1, 1)
 
 
 def test_thin_s3_flags():
     s = thin_group_scheme(symmetric_table(3))
     assert s.size == 6
     assert s.rank == 6
-    f = s.flags
+    f = classify(s)
     assert f.homogeneous and not f.commutative and not f.symmetric
-    assert s.stats.sizes == (6,) * 6
+    assert s.relation_sizes == (6,) * 6
 
 
 def test_schurian_two_transitive_is_rank2():
@@ -157,26 +157,26 @@ def test_hamming_2_2():
     s = hamming(2, 2)
     assert s.size == 4
     assert s.rank == 3
-    assert s.stats.out_degrees == (1, 2, 1)
-    assert s.flags.symmetric
+    assert relation_stats(s).out_degrees == (1, 2, 1)
+    assert classify(s).symmetric
 
 
 def test_hamming_3_2_and_2_3():
     s = hamming(3, 2)
     assert (s.size, s.rank) == (8, 4)
-    assert s.stats.out_degrees == (1, 3, 3, 1)
+    assert relation_stats(s).out_degrees == (1, 3, 3, 1)
     t = hamming(2, 3)
     assert (t.size, t.rank) == (9, 3)
-    assert t.stats.out_degrees == (1, 4, 4)
+    assert relation_stats(t).out_degrees == (1, 4, 4)
 
 
 def test_johnson():
     s = johnson(4, 2)
     assert (s.size, s.rank) == (6, 3)
-    assert s.flags.symmetric
+    assert classify(s).symmetric
     t = johnson(5, 2)
     assert (t.size, t.rank) == (10, 3)
-    assert t.stats.out_degrees == (1, 6, 3)
+    assert relation_stats(t).out_degrees == (1, 6, 3)
 
 
 def test_family_bounds():
@@ -230,8 +230,8 @@ def test_direct_sum_small():
     assert s.size == 5
     assert s.rank == 6
     assert tuple(len(x) for x in s.cells) == (2, 3)
-    assert s.stats.sizes == (2, 3, 2, 6, 6, 6)
-    assert not s.flags.homogeneous
+    assert s.relation_sizes == (2, 3, 2, 6, 6, 6)
+    assert not classify(s).homogeneous
     assert direct_sum(discrete(1), discrete(1)) == discrete(2)
 
 
@@ -266,15 +266,15 @@ def test_corpus_registry():
     assert sum(1 for sid, s in entries if sid.startswith("dsum-")) >= 5
     for sid, s in entries:
         if sid.startswith("dsum-"):
-            assert not s.flags.homogeneous
+            assert not classify(s).homogeneous
 
 
 def test_corpus_schemes_are_regular():
     for sid, s in corpus():
         s.tensor  # raises on any regularity failure
-        # row sums of out-degrees per fiber were asserted in stats
-        st = s.stats
-        if s.flags.homogeneous:
+        # row sums of out-degrees per fiber were asserted in relation_stats
+        st = relation_stats(s)
+        if classify(s).homogeneous:
             assert sum(st.out_degrees) == s.size
 
 
@@ -282,10 +282,10 @@ def test_corpus_tensor_degree_identities():
     # c[i][i^t][diag(source)] = out-degree, c[i^t][i][diag(target)] = in-degree
     for sid, s in corpus():
         c = s.tensor
-        st = s.stats
+        st = relation_stats(s)
         for rel in range(s.rank):
             it = s.transpose_of[rel]
-            src, tgt = st.source_cells[rel], st.target_cells[rel]
+            src, tgt = s.fiber_of[rel]
             assert c[rel, it, s.diagonal_colors[src]] == st.out_degrees[rel]
             assert c[it, rel, s.diagonal_colors[tgt]] == st.in_degrees[rel]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cellalg import harness
 from cellalg.generators import build_scheme, rank2
 from cellalg.harness import (
     VerifyOptions,
@@ -134,6 +135,30 @@ def test_parallel_matches_serial():
     serial, _ = verify_corpus(ids=ids, jobs=1)
     parallel, _ = verify_corpus(ids=ids, jobs=2)
     assert [to_json_line(r) for r in serial] == [to_json_line(r) for r in parallel]
+
+
+def test_pool_starts_no_more_workers_than_schemes(monkeypatch):
+    # the pool forks every worker up front; a stub records the request and
+    # maps serially, so no process starts
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    reports, _ = verify_corpus(ids=["thin-z02", "rank2-02"], jobs=64)
+    assert requested == [2]
+    assert [rep["scheme_id"] for rep in reports] == ["rank2-02", "thin-z02"]
 
 
 def test_same_seed_same_bytes():

@@ -122,7 +122,7 @@ def test_rank_nullity_and_membership(p, seed):
 def test_charpoly_matches_sympy(p, n):
     rng = np.random.default_rng(10 * n + p)
     mats = rng.integers(0, p, size=(3, n, n))
-    ours = charpoly_mod_p(mats, p)
+    ours = charpoly_mod_p(mats, p, n)
     lam = sympy.symbols("lam")
     for b in range(3):
         expected = sympy.Matrix(mats[b].tolist()).charpoly(lam).all_coeffs()
@@ -134,7 +134,7 @@ def test_charpoly_matches_sympy(p, n):
 def test_truncated_charpoly_is_the_leading_part(p, n):
     rng = np.random.default_rng(100 * n + p)
     mats = rng.integers(0, p, size=(6, n, n))
-    full = charpoly_mod_p(mats, p)
+    full = charpoly_mod_p(mats, p, n)
     assert full.shape == (6, n + 1)
     for terms in range(n + 2):
         expected = full[:, : min(terms, n) + 1]
@@ -153,14 +153,14 @@ def test_charpoly_of_xy_is_charpoly_of_yx(p, n):
     # singular factors too: x of rank at most 1, y strictly upper triangular
     x[20:] = rng.integers(0, p, size=(20, n, 1)) @ rng.integers(0, p, size=(20, 1, n))
     y[30:] = np.triu(y[30:], k=1)
-    xy = charpoly_mod_p(x @ y % p, p)
-    assert np.array_equal(xy, charpoly_mod_p(y @ x % p, p))
+    xy = charpoly_mod_p(x @ y % p, p, n)
+    assert np.array_equal(xy, charpoly_mod_p(y @ x % p, p, n))
     assert np.array_equal(xy[:, :3], charpoly_mod_p(y @ x % p, p, 2))
 
 
 def test_charpoly_identity():
     # det(tI - I) = (t-1)^n
-    out = charpoly_mod_p(np.eye(4, dtype=np.int64)[None], 5)[0]
+    out = charpoly_mod_p(np.eye(4, dtype=np.int64)[None], 5, 4)[0]
     assert out.tolist() == [1, (-4) % 5, 6 % 5, (-4) % 5, 1]
 
 

@@ -86,3 +86,29 @@ def test_benchmark_trace_targets_exist():
         if not callable(getattr(importlib.import_module(f"cellalg.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_attribute_set_in_init_is_read():
+    # an attribute the package assigns and never reads is dead state
+    trees = [ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assigned = [
+        (cls.name, node.attr)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+    assert assigned
+    assert [f"{cls}.{attr}" for cls, attr in assigned if attr not in read] == []

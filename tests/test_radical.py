@@ -214,7 +214,7 @@ def test_chain_stops_at_the_first_nilpotent_subspace(monkeypatch, p, dim):
     # after the first of them already generates a nilpotent ideal
     seen = []
 
-    def counting(mats, q, terms=None):
+    def counting(mats, q, terms):
         seen.append(terms)
         return charpoly_mod_p(mats, q, terms)
 

@@ -3,10 +3,12 @@
 The tensor oracle here is deliberately naive: count midpoints with a triple
 loop and compare."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from cellalg.generators import build_scheme
+from cellalg.generators import build_scheme, schurian
 from cellalg.scheme import (
     InternalCheckError,
     Scheme,
@@ -16,7 +18,7 @@ from cellalg.scheme import (
     relation_stats,
     verify_regularity,
 )
-from reference import corpus, regularity_by_loops
+from reference import corpus, regularity_by_loops, scheme_facts_by_loops
 
 RANK2_3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 Z3_CIRCULANT = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -104,6 +106,85 @@ def test_regularity_witness_matches_the_loop_version():
     assert failures >= 100
 
 
+def package_facts(matrix):
+    """scheme_facts_by_loops's record, from the package."""
+    try:
+        s = from_color_matrix(matrix)
+    except SchemeError as err:
+        return None, (str(err), err.witness)
+    try:
+        tensor = s.tensor.tolist()
+    except SchemeError as err:
+        tensor = (str(err), err.witness)
+    return {
+        "colors": s.colors.tolist(),
+        "cells": s.cells,
+        "point_cell": s.point_cell.tolist(),
+        "fiber_of": s.fiber_of,
+        "transpose_of": s.transpose_of,
+        "tensor": tensor,
+    }, None
+
+
+def permuted(colors, rng):
+    """colors with its points and its color values permuted at random."""
+    points = rng.permutation(colors.shape[0])
+    values = rng.permutation(int(colors.max()) + 1)
+    return values[colors[np.ix_(points, points)]]
+
+
+def test_scheme_facts_match_the_loop_version_on_the_corpus():
+    rng = np.random.default_rng(12)
+    for scheme_id, s in corpus():
+        for matrix in (s.colors, permuted(s.colors, rng)):
+            expected = scheme_facts_by_loops(matrix)
+            assert expected[1] is None, scheme_id
+            assert package_facts(matrix) == expected, scheme_id
+
+
+def random_coloring(rng):
+    """A color matrix on at most 8 points that fails one construction or
+    regularity check about as often as it passes them all."""
+    n = int(rng.integers(1, 9))
+    kind = rng.integers(6)
+    if kind == 0:
+        # any values: mostly contiguity and diagonal-closure failures
+        return rng.integers(0, int(rng.integers(1, 6)), size=(n, n))
+    if kind == 1:
+        # contiguous: diagonal-closure and transpose-closure failures
+        return np.unique(rng.integers(0, 4, size=(n, n)), return_inverse=True)[1].reshape(n, n)
+    if kind in (2, 3):
+        # diagonal colors apart from the others; kind 3 pairs each color
+        # with its transpose, so that regularity decides
+        diag = rng.integers(0, int(rng.integers(1, 3)), size=n)
+        off = rng.integers(0, 4, size=(n, n)) + 2
+        if kind == 3:
+            off = np.where(np.triu(np.ones((n, n), dtype=bool)), off, off.T ^ 1)
+        colors = np.where(np.eye(n, dtype=bool), diag[:, None], off)
+        return np.unique(colors, return_inverse=True)[1].reshape(n, n)
+    # orbitals of a random permutation group: coherent, so every check
+    # passes; more generators until the rank keeps the loop tensor quick
+    gens = [rng.permutation(n).tolist()]
+    while (colors := schurian(gens, n).colors).max() >= 10:
+        gens.append(rng.permutation(n).tolist())
+    return permuted(colors, rng)
+
+
+def test_scheme_facts_match_the_loop_version_on_random_colorings():
+    rng = np.random.default_rng(2026)
+    outcomes = Counter()
+    for _ in range(5000):
+        matrix = random_coloring(rng)
+        expected = scheme_facts_by_loops(matrix)
+        assert package_facts(matrix) == expected, matrix.tolist()
+        facts, failure = expected
+        if failure is None:
+            failure = facts["tensor"] if isinstance(facts["tensor"], tuple) else ("pass",)
+        kinds = ("missing", "diagonal pair", "transpose", "intersection", "pass")
+        outcomes[next(k for k in kinds if k in failure[0])] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 100, outcomes
+
+
 def test_canonical_relabel_discrete2():
     # any labeling of the 4 singleton relations lands on the same canonical form
     s = from_color_matrix([[3, 0], [1, 2]])
@@ -125,7 +206,8 @@ def test_single_point():
     s = from_color_matrix([[0]])
     assert s.rank == 1
     assert s.tensor.tolist() == [[[1]]]
-    assert relation_stats(s).sizes == (1,)
+    assert s.relation_sizes == (1,)
+    assert relation_stats(s).out_degrees == (1,)
 
 
 def test_irregular_matrix_constructs_then_fails_regularity():
@@ -168,16 +250,18 @@ def test_shape_and_sign_errors():
 
 
 def test_stats_rank2_3():
-    st = from_color_matrix(RANK2_3).stats
-    assert st.sizes == (3, 6)
+    s = from_color_matrix(RANK2_3)
+    st = relation_stats(s)
+    assert s.relation_sizes == (3, 6)
     assert st.out_degrees == (1, 2)
     assert st.in_degrees == (1, 2)
-    assert st.source_cells == (0, 0)
+    assert [src for src, _ in s.fiber_of] == [0, 0]
 
 
 def test_stats_z3_circulant():
-    st = from_color_matrix(Z3_CIRCULANT).stats
-    assert st.sizes == (3, 3, 3)
+    s = from_color_matrix(Z3_CIRCULANT)
+    st = relation_stats(s)
+    assert s.relation_sizes == (3, 3, 3)
     assert st.out_degrees == (1, 1, 1)
     # homogeneous: out-degrees sum to n
     assert sum(st.out_degrees) == 3
