@@ -71,6 +71,7 @@ def _load_scheme(args) -> Scheme:
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     scheme = parse_scheme_file(text, one_based=args.one_based)
+    args.rank = scheme.rank  # named if a later step runs out of memory
     scheme.tensor  # force the regularity certificate; raises with a witness
     return scheme
 
@@ -237,6 +238,14 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        rank = getattr(args, "rank", None)
+        where = "" if rank is None else (
+            f" on a scheme of rank r = {rank}, whose intersection tensor alone"
+            " holds r^3 integers"
+        )
+        print(f"error: out of memory{where}", file=sys.stderr)
         return 2
 
 

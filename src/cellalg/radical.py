@@ -26,15 +26,28 @@ Two independent routes:
 
 * radical_oracle: enumerate every algebra element (at most ORACLE_BUDGET
   of them) and keep those whose two-sided ideal is nilpotent.  Necessary
-  conditions prune first: trace zero (linear, so tested on coefficient
-  vectors before any matrix is built), then nilpotency by repeated
-  squaring, dropping a candidate as soon as one of its powers has nonzero
-  trace.  In a commutative algebra the radical is exactly the set of
-  nilpotent elements, so that is the answer; otherwise every x A_j must be
-  nilpotent too, and one span-power test on the ideal of all survivors
-  accepts them together, with one test per survivor only if it fails.
-  Exponential and only for cross-checking the chain on small instances; it
-  never uses the chain or the trace-form kernel as a subspace.
+  conditions prune first.  Two traces are linear, so they are tested on
+  coefficient vectors before any matrix is built: the trace on the faithful
+  module, and the trace on the cell module J spanned by the indicator
+  vectors 1_X of the cells.  J is a submodule, since A_k 1_Y = (|R_k|/|X|)
+  1_X for a relation R_k in the fiber X x Y, so tr_J(A_k) is the valency
+  |R_k|/|X| when X = Y and 0 otherwise, and a nilpotent element has
+  tr_J = 0.  The cell trace prunes where the module trace cannot, when p
+  divides the module dimension.  Then nilpotency: a candidate is dropped
+  when its matrix, or one of its repeated squares, has nonzero trace, and
+  the rest get the exact zero test.  In a commutative algebra the radical
+  is exactly the set of nilpotent elements, so that is the answer;
+  otherwise every x A_j must be nilpotent too, and one span-power test on
+  the ideal of all survivors accepts them together, with one test per
+  survivor only if it fails.  The elements go in batches: the last l
+  coordinates run over a table of all p^l suffixes, built once with both
+  trace columns, with l >= 1 as large as p^l d^2 <= ORACLE_BATCH_ENTRIES
+  allows, and each batch puts one prefix of the other coordinates before
+  the suffixes whose traces it cancels.  So no batch builds matrices of
+  more than ORACLE_BATCH_ENTRIES entries: p d^2 never exceeds it, since
+  d <= r and p^r <= ORACLE_BUDGET.  Exponential and only for
+  cross-checking the chain on small instances; it never uses the chain or
+  the trace-form kernel as a subspace.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
 routes are comparable array-for-array.  The prime must be below 2^31, so
@@ -48,6 +61,7 @@ checks that it lies in the chain's radical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -65,6 +79,8 @@ from .scheme import InternalCheckError, Scheme
 
 # largest p^rank the exhaustive oracle enumerates
 ORACLE_BUDGET = 1 << 16
+# most module-matrix entries one oracle batch builds
+ORACLE_BATCH_ENTRIES = 1 << 18
 
 
 class BudgetExceeded(ValueError):
@@ -80,7 +96,10 @@ class RadicalResult:
 class ModularAlgebra:
     """Adjacency algebra over F_p: structure constants and the basis acting
     on the smaller faithful module, of dimension d = min(n, rank).  The
-    left-regular module is used only when it is strictly smaller."""
+    left-regular module is used only when it is strictly smaller.
+    cell_traces[k] is the trace of A_k on the span of the cell indicator
+    vectors: the valency |R_k|/|X| for R_k in X x X, 0 off the diagonal
+    fibers."""
 
     def __init__(self, scheme: Scheme, p: int):
         # before is_prime, whose trial division runs for minutes on huge p
@@ -96,6 +115,14 @@ class ModularAlgebra:
         else:
             self.mats = scheme.adjacency % p
         self.d = self.mats.shape[1]
+        self.cell_traces = np.zeros(self.rank, dtype=np.int64)
+        for k, fiber in enumerate(scheme.fiber_of):
+            if fiber is None:
+                raise InternalCheckError(f"relation {k} lies in no fiber")
+            if fiber[0] == fiber[1]:
+                self.cell_traces[k] = scheme.relation_sizes[k] // len(
+                    scheme.cells[fiber[0]]
+                )
 
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
         """Module matrices of coefficient vectors (batched)."""
@@ -179,12 +206,12 @@ def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
     """Which matrices of a (b, d, d) stack over F_p are nilpotent.
 
     Squares until the exponent reaches d (x nilpotent iff x^d = 0).  Every
-    power of a nilpotent matrix has trace zero, so a candidate whose current
-    power has a nonzero trace is dropped before the next squaring; the
-    candidates left at the end get the exact zero test."""
+    power of a nilpotent matrix has trace zero, so a candidate whose matrix
+    or current power has a nonzero trace is dropped before the next
+    squaring; the candidates left at the end get the exact zero test."""
     d = mats.shape[-1]
-    alive = np.arange(mats.shape[0])
-    power = mats
+    alive = np.flatnonzero(np.einsum("bii->b", mats) % p == 0)
+    power = mats[alive]
     t = 1
     while t < d and alive.size:
         power = power @ power
@@ -201,35 +228,47 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     """Exhaustive radical: all p^rank elements, at most ORACLE_BUDGET of
     them, keeping generators of nilpotent ideals.
 
-    Necessary conditions cut the candidates first: tr(x) = 0, checked on the
-    coefficient vectors since the trace is linear, then x nilpotent and, in a
-    non-commutative algebra, every x A_j nilpotent.  In a commutative
-    algebra the nilpotent elements are exactly the radical, since there
-    (x A_j)^d = x^d A_j^d.  Otherwise the survivors' span gets one exact
-    span-power test; if that ideal is not nilpotent, each survivor gets its
-    own.  Checks that the kept set is a subspace."""
-    p, r = alg.p, alg.rank
+    Necessary conditions cut the candidates first: tr(x) = 0 on the module
+    and on the cell module, checked on the coefficient vectors since both
+    traces are linear, then x nilpotent and, in a non-commutative algebra,
+    every x A_j nilpotent.  In a commutative algebra the nilpotent elements
+    are exactly the radical, since there (x A_j)^d = x^d A_j^d.  Otherwise
+    the survivors' span gets one exact span-power test; if that ideal is not
+    nilpotent, each survivor gets its own.  Each batch is one prefix of
+    r - l coordinates before the passing suffixes of the last l, so it
+    builds at most p^l d^2 matrix entries.  Checks that the kept set is a
+    subspace."""
+    p, r, d = alg.p, alg.rank, alg.d
     count = p**r
     if count > ORACLE_BUDGET:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
-    idx = np.arange(count, dtype=np.int64)
-    vecs = np.empty((count, r), dtype=np.int64)
-    for pos in range(r):
-        vecs[:, r - 1 - pos] = idx % p
-        idx //= p
-
-    traces = np.einsum("rii->r", alg.mats) % p
-    vecs = vecs[vecs @ traces % p == 0]
-    mats = alg.element_matrices(vecs)
-    keep = _nilpotent_mask(mats, p)
+    low = 1
+    while low < r and p ** (low + 1) * d * d <= ORACLE_BATCH_ENTRIES:
+        low += 1
+    # row (t, k): trace of A_k on the module (t = 0) and on the cell module
+    traces = np.stack([np.einsum("rii->r", alg.mats), alg.cell_traces]) % p
+    # column s: the digits of suffix s, so batches enumerate as a base-p count
+    suffixes = np.indices((p,) * low).reshape(low, -1)
+    suffix_traces = traces[:, r - low :] @ suffixes % p
     commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
-    if not commutative:
-        for j in range(r):
-            sel = np.nonzero(keep)[0]
-            sub = mats[sel] @ alg.mats[j]
-            sub %= p
-            keep[sel[~_nilpotent_mask(sub, p)]] = False
-    survivors = vecs[keep]
+    kept = []
+    for digits in product(range(p), repeat=r - low):
+        prefix = np.array(digits, dtype=np.int64)
+        cancel = -(traces[:, : r - low] @ prefix) % p
+        pass_both = (suffix_traces == cancel[:, None]).all(axis=0)
+        vecs = np.empty((np.count_nonzero(pass_both), r), dtype=np.int64)
+        vecs[:, : r - low] = prefix
+        vecs[:, r - low :] = suffixes[:, pass_both].T
+        mats = alg.element_matrices(vecs)
+        keep = _nilpotent_mask(mats, p)
+        if not commutative:
+            for j in range(r):
+                sel = np.nonzero(keep)[0]
+                sub = mats[sel] @ alg.mats[j]
+                sub %= p
+                keep[sel[~_nilpotent_mask(sub, p)]] = False
+        kept.append(vecs[keep])
+    survivors = np.concatenate(kept)
     if commutative or _ideal_is_nilpotent(alg, rref_mod_p(survivors, p)[0]):
         members = survivors
     else:

@@ -2,7 +2,8 @@
 structure-constant products, group-axiom checks, the regularity check,
 the construction checks and relation facts of a color matrix, direct-product
 tables, the center from every commutator row, nilpotency by
-plain squaring, the exhaustive radical with one ideal test per element, the
+plain squaring, the cell-module traces from the cell indicator matrix, the
+exhaustive radical with one ideal test per element, the
 nilpotent-ideal test by one three-operand einsum and the radical chain run
 through every step with every ordered pair.  Also the corpus, built once for
 all test modules."""
@@ -196,6 +197,23 @@ def nilpotent_by_squaring(mats, p) -> np.ndarray:
         power = power @ power % p
         t *= 2
     return ~power.any(axis=(1, 2))
+
+
+def cell_traces_by_indicators(scheme) -> np.ndarray:
+    """Trace of each A_k on the span of the cell indicator vectors: with E
+    the n x f indicator matrix, A_k E = E M_k is checked and tr M_k
+    returned."""
+    ind = np.zeros((scheme.size, len(scheme.cells)), dtype=np.int64)
+    for x, cell in enumerate(scheme.cells):
+        ind[list(cell), x] = 1
+    traces = np.zeros(scheme.rank, dtype=np.int64)
+    for k in range(scheme.rank):
+        image = scheme.adjacency[k] @ ind
+        # E^T E is diag(|X|), so M_k = E^T A_k E / |X| row by row
+        m = (ind.T @ image) // ind.sum(axis=0)[:, None]
+        assert np.array_equal(image, ind @ m), f"A_{k} leaves the cell module"
+        traces[k] = np.trace(m)
+    return traces
 
 
 def radical_oracle_by_ideals(alg):

@@ -12,6 +12,7 @@ import pytest
 import cellalg
 from cellalg.cli import main, parse_scheme_file, format_scheme_file
 from cellalg.generators import CORPUS_SPECS, build_scheme, corpus_ids, hamming
+from cellalg.scheme import Scheme
 
 RANK2_3_FILE = "3\n0 1 1\n1 0 1\n1 1 0\n"
 
@@ -184,6 +185,26 @@ def test_gen_oversized_exits_2_before_building(capsys, monkeypatch):
         code, _, err = run(capsys, argv)
         assert code == 2
         assert "too large" in err
+
+
+def test_out_of_memory_exits_2_naming_the_rank(capsys, tmp_path, monkeypatch):
+    # stubs raise MemoryError where a large scheme would, allocating nothing
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    path = write_scheme(tmp_path, RANK2_3_FILE)
+    monkeypatch.setattr("cellalg.cli.verify_scheme", no_memory)
+    code, _, err = run(capsys, ["verify", path])
+    assert code == 2
+    assert "out of memory on a scheme of rank r = 2" in err
+    monkeypatch.setattr(Scheme, "tensor", property(no_memory))
+    code, _, err = run(capsys, ["info", path])
+    assert code == 2
+    assert "out of memory on a scheme of rank r = 2" in err
+    monkeypatch.setattr("cellalg.cli.verify_corpus", no_memory)
+    code, _, err = run(capsys, ["verify", "--corpus"])
+    assert code == 2
+    assert err == "error: out of memory\n"
 
 
 def test_unknown_command_exit_2(capsys):

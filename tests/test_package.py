@@ -35,6 +35,21 @@ def test_einsum_has_at_most_two_operands():
     assert found == []
 
 
+def test_package_reads_no_environment():
+    # behaviour is set by arguments alone; a thread count or similar knob
+    # read from the environment would be a hidden option
+    names = {"environ", "getenv", "putenv"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and names & {a.name for a in node.names})
+    ]
+    assert found == []
+
+
 def _definitions(tree):
     """(name, line) of the functions and classes of a module and the
     methods of its classes."""

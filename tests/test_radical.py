@@ -8,6 +8,7 @@ a p-group the algebra is local so the radical is the augmentation ideal.
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from reference import (
+    cell_traces_by_indicators,
     corpus,
     ideal_is_nilpotent_by_einsum,
     nilpotent_by_squaring,
@@ -49,9 +51,11 @@ from cellalg.linalg import (
     regular_matrices,
 )
 from cellalg.radical import (
+    ORACLE_BATCH_ENTRIES,
     ORACLE_BUDGET,
     BudgetExceeded,
     InternalCheckError,
+    ModularAlgebra,
     _ideal_is_nilpotent,
     _nilpotent_mask,
     central_nilpotent_witness,
@@ -301,6 +305,113 @@ def test_oracle_per_survivor_fallback_matches_chain(monkeypatch):
     assert checked >= 43
 
 
+def test_cell_traces_equal_the_indicator_reference_on_corpus():
+    for scheme_id, scheme in corpus():
+        traces = modular_algebra(scheme, 2).cell_traces
+        assert np.array_equal(traces, cell_traces_by_indicators(scheme)), scheme_id
+
+
+@st.composite
+def schurian_schemes(draw):
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=2))
+    return schurian(gens, n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(schurian_schemes())
+def test_cell_traces_equal_the_indicator_reference_on_random_schurian_schemes(scheme):
+    expected = cell_traces_by_indicators(scheme)
+    assert np.array_equal(modular_algebra(scheme, 2).cell_traces, expected)
+
+
+def test_relation_without_a_fiber_raises():
+    scheme = build_scheme("dsum-r2-r3")
+    scheme.fiber_of = (None,) + scheme.fiber_of[1:]
+    with pytest.raises(InternalCheckError, match="relation 0 lies in no fiber"):
+        modular_algebra(scheme, 2)
+
+
+def _record_batches(monkeypatch):
+    """Spy on the oracle's element_matrices calls; the list gets the matrix
+    entries (rows times d^2) of each call."""
+    entries = []
+    build = ModularAlgebra.element_matrices
+
+    def recording(alg, vecs):
+        entries.append(len(vecs) * alg.d**2)
+        return build(alg, vecs)
+
+    monkeypatch.setattr(ModularAlgebra, "element_matrices", recording)
+    return entries
+
+
+def test_cell_trace_leaves_exactly_the_nilpotent_elements_of_thin_z09(monkeypatch):
+    # p = 3 divides the module dimension 9, so every element has module
+    # trace 0; the cell trace, the coefficient sum, leaves 3^8 of the 3^9
+    # elements for the matrix tests: the augmentation ideal, which is the
+    # radical of F_3[Z_9]
+    alg = modular_algebra(build_scheme("thin-z09"), 3)
+    assert not (np.einsum("rii->r", alg.mats) % 3).any()
+    assert alg.cell_traces.tolist() == [1] * 9
+    entries = _record_batches(monkeypatch)
+    assert radical_oracle(alg).dim == 8
+    assert sum(entries) == 3**8 * 9**2
+
+
+def test_oracle_batches_stay_within_the_entry_bound(monkeypatch):
+    # every oracle run of the corpus report
+    entries = _record_batches(monkeypatch)
+    checked = 0
+    for scheme_id, scheme in corpus():
+        for p in harness.tested_primes(scheme):
+            if p**scheme.rank > ORACLE_BUDGET:
+                continue
+            alg = modular_algebra(scheme, p)
+            start = len(entries)
+            radical_oracle(alg)
+            assert len(entries) > start, (scheme_id, p)
+            assert max(entries[start:]) <= ORACLE_BATCH_ENTRIES, (scheme_id, p)
+            checked += 1
+    assert checked == 533
+
+
+def test_small_oracle_batches_give_the_same_bases(monkeypatch):
+    # 64 entries leave one suffix digit for most cases, so the oracle runs
+    # through many prefixes
+    expected = {
+        (scheme_id, p): radical_oracle(modular_algebra(scheme, p)).basis
+        for scheme_id, scheme, p in _corpus_cases(SMALL)
+    }
+    monkeypatch.setattr(radical, "ORACLE_BATCH_ENTRIES", 64)
+    entries = _record_batches(monkeypatch)
+    most_batches = 0
+    for scheme_id, scheme, p in _corpus_cases(SMALL):
+        alg = modular_algebra(scheme, p)
+        start = len(entries)
+        basis = radical_oracle(alg).basis
+        assert np.array_equal(basis, expected[scheme_id, p]), (scheme_id, p)
+        assert max(entries[start:]) <= max(64, p * alg.d**2), (scheme_id, p)
+        most_batches = max(most_batches, len(entries) - start)
+    assert len(expected) >= 1000
+    assert most_batches > 1000
+
+
+def test_oracle_at_the_budget_edge_holds_bounded_memory():
+    # thin Z_16 at p = 2 enumerates exactly ORACLE_BUDGET elements; built
+    # at once, their 16 x 16 int64 matrices alone would take 128 MiB
+    alg = modular_algebra(thin_group_scheme(cyclic_table(16)), 2)
+    assert 2**alg.rank == ORACLE_BUDGET
+    tracemalloc.start()
+    try:
+        oracle = radical_oracle(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(oracle.basis, radical_chain(alg).basis)
+    assert peak < 32 << 20
+
+
 def _jordan_block(d, eigenvalue):
     return eigenvalue * np.eye(d, dtype=np.int64) + np.eye(d, k=1, dtype=np.int64)
 
@@ -328,9 +439,7 @@ def test_nilpotent_mask_is_plain_squaring(d, p):
 
 @st.composite
 def schurian_cases(draw):
-    n = draw(st.integers(1, 8))
-    gens = draw(st.lists(st.permutations(range(n)), max_size=2))
-    scheme = schurian(gens, n)
+    scheme = draw(schurian_schemes())
     primes = [p for p in (2, 3, 5) if p**scheme.rank <= SMALL]
     assume(primes)
     return scheme, draw(st.sampled_from(primes))
