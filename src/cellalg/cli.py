@@ -60,6 +60,8 @@ def parse_scheme_file(text: str, one_based: bool = False) -> Scheme:
         raise UsageError(f"expected {n} rows of {n} colors")
     matrix = np.array(body, dtype=np.int64)
     if one_based:
+        if (matrix < 1).any():
+            raise UsageError(f"1-based colors must be at least 1, not {matrix.min()}")
         matrix -= 1
     return from_color_matrix(matrix)
 

@@ -1,11 +1,16 @@
-"""Trace form of the standard module and its discriminant.
+"""The characters of the adjacency algebra, and the discriminant of the
+standard trace form.
 
-The standard module is the defining action on points.  Its character sends a
-basis matrix to the number of fixed points it covers: cell size for a
-diagonal relation, 0 otherwise.  The Gram matrix of (x, y) -> trace(xy) in
-the relation basis has a closed form (relation size at transpose-paired
-positions); the discriminant is its determinant, computed fraction-free and
-cross-checked against the closed-form sign.
+Each trace of the basis matrices A_k is derived here, once, as an (r,) int64
+vector: on the standard module, the action on points (the number of points u
+with (u, u) in R_k, so |R_k| on a diagonal relation and 0 elsewhere); on the
+regular module (sum_s c_kss); and on the cell module spanned by the cell
+indicator vectors 1_X (A_k 1_Y = (|R_k|/|X|) 1_X for R_k in X x Y, so the
+valency |R_k|/|X| when X = Y, 0 elsewhere).  A trace form's Gram matrix is
+the tensor contracted with its character.  The standard one has a closed
+form (relation size at transpose-paired positions); the discriminant is its
+determinant, computed fraction-free and cross-checked against the
+closed-form sign.
 """
 
 from __future__ import annotations
@@ -15,16 +20,24 @@ from math import prod
 import numpy as np
 
 from .linalg import det_fraction_free
-from .scheme import InternalCheckError, Scheme
+from .scheme import InternalCheckError, Scheme, fiber_cells
 
 
-def standard_character(scheme: Scheme, rel: int) -> int:
-    """Trace of a basis matrix on the standard module."""
-    if not 0 <= rel < scheme.rank:
-        raise ValueError(f"relation index {rel} out of range")
-    if rel in scheme.diagonal_colors:
-        return len(scheme.cells[scheme.diagonal_colors.index(rel)])
-    return 0
+def standard_character(scheme: Scheme) -> np.ndarray:
+    """Trace of each basis matrix on the standard module."""
+    return np.bincount(scheme.colors.diagonal(), minlength=scheme.rank)
+
+
+def regular_character(c: np.ndarray) -> np.ndarray:
+    """Trace of left multiplication by each basis element."""
+    return np.einsum("kss->k", c)
+
+
+def cell_character(scheme: Scheme) -> np.ndarray:
+    """Trace of each basis matrix on the cell module."""
+    src, tgt = fiber_cells(scheme)
+    valency = np.asarray(scheme.relation_sizes) // np.bincount(scheme.point_cell)[src]
+    return valency * (src == tgt)
 
 
 def gram_standard(scheme: Scheme) -> np.ndarray:
@@ -33,11 +46,9 @@ def gram_standard(scheme: Scheme) -> np.ndarray:
     closed form size(i) at (i, i-transpose).  The two must agree; a mismatch
     would be an internal error."""
     r = scheme.rank
-    chi = np.array([standard_character(scheme, k) for k in range(r)], dtype=np.int64)
-    via_tensor = scheme.tensor @ chi
     closed = np.zeros((r, r), dtype=np.int64)
     closed[np.arange(r), scheme.transpose_of] = scheme.relation_sizes
-    if not np.array_equal(via_tensor, closed):
+    if not np.array_equal(scheme.tensor @ standard_character(scheme), closed):
         raise InternalCheckError("trace-form Gram matrix differs from its closed form")
     return closed
 

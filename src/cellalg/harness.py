@@ -42,6 +42,10 @@ PRIME_BOUND = 50
 class VerifyOptions:
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
+
 
 def candidate_primes(scheme: Scheme) -> list[int]:
     """Primes that could divide the Frame number: divisors of prod |R|."""

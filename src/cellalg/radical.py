@@ -11,8 +11,9 @@ Two independent routes:
   polynomial coefficients of products (Cohen, Ivanyos, Wales, valid on any
   faithful module).  Step i keeps x with the coefficient of t^(d - p^i) of
   charpoly(x y) vanishing for all y in the current basis.  Step 0 is the
-  trace-form kernel: that coefficient is -tr(x y), so no product and no
-  characteristic polynomial is formed.  Later steps read the coefficient
+  trace-form kernel: that coefficient is -tr(x y), and tr(A_a A_b) =
+  sum_k c_abk chi(A_k) for the module's character chi, so no module
+  matrix, product or charpoly is built.  Later steps read the coefficient
   from a characteristic polynomial truncated after its first p^i + 1
   terms.  Since charpoly(x y) = charpoly(y x), the coefficient matrix is
   symmetric and one product per unordered pair {x, y} fills it.  Over the
@@ -27,12 +28,9 @@ Two independent routes:
 * radical_oracle: enumerate every algebra element (at most ORACLE_BUDGET
   of them) and keep those whose two-sided ideal is nilpotent.  Necessary
   conditions prune first.  Two traces are linear, so they are tested on
-  coefficient vectors before any matrix is built: the trace on the faithful
-  module, and the trace on the cell module J spanned by the indicator
-  vectors 1_X of the cells.  J is a submodule, since A_k 1_Y = (|R_k|/|X|)
-  1_X for a relation R_k in the fiber X x Y, so tr_J(A_k) is the valency
-  |R_k|/|X| when X = Y and 0 otherwise, and a nilpotent element has
-  tr_J = 0.  The cell trace prunes where the module trace cannot, when p
+  coefficient vectors before any matrix is built: the faithful module's
+  character and the cell character (see discriminant.py), both zero on a
+  nilpotent element; the cell trace prunes where the other cannot, when p
   divides the module dimension.  Then nilpotency: a candidate is dropped
   when its matrix, or one of its repeated squares, has nonzero trace, and
   the rest get the exact zero test.  In a commutative algebra the radical
@@ -66,6 +64,7 @@ from math import prod
 
 import numpy as np
 
+from .discriminant import cell_character, regular_character, standard_character
 from .linalg import (
     charpoly_mod_p,
     is_prime,
@@ -94,12 +93,10 @@ class RadicalResult:
 
 
 class ModularAlgebra:
-    """Adjacency algebra over F_p: structure constants and the basis acting
-    on the smaller faithful module, of dimension d = min(n, rank).  The
-    left-regular module is used only when it is strictly smaller.
-    cell_traces[k] is the trace of A_k on the span of the cell indicator
-    vectors: the valency |R_k|/|X| for R_k in X x X, 0 off the diagonal
-    fibers."""
+    """Adjacency algebra over F_p, all mod p: structure constants, the basis
+    acting on the smaller faithful module (of dimension d = min(n, rank);
+    left-regular only when strictly smaller), that module's character
+    traces and the cell character cell_traces."""
 
     def __init__(self, scheme: Scheme, p: int):
         # before is_prime, whose trial division runs for minutes on huge p
@@ -112,17 +109,12 @@ class ModularAlgebra:
         self.c = scheme.tensor % p
         if self.rank < scheme.size:
             self.mats = regular_matrices(self.c)[0] % p
+            self.traces = regular_character(self.c) % p
         else:
             self.mats = scheme.adjacency % p
+            self.traces = standard_character(scheme) % p
         self.d = self.mats.shape[1]
-        self.cell_traces = np.zeros(self.rank, dtype=np.int64)
-        for k, fiber in enumerate(scheme.fiber_of):
-            if fiber is None:
-                raise InternalCheckError(f"relation {k} lies in no fiber")
-            if fiber[0] == fiber[1]:
-                self.cell_traces[k] = scheme.relation_sizes[k] // len(
-                    scheme.cells[fiber[0]]
-                )
+        self.cell_traces = cell_character(scheme) % p
 
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
         """Module matrices of coefficient vectors (batched)."""
@@ -176,11 +168,12 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     basis = np.eye(alg.rank, dtype=np.int64)
     for i in range(steps):
         d = basis.shape[0]
-        mats = alg.element_matrices(basis)
         # row x, column y: coefficient of t^(dim - p^i) in charpoly(x y)
         if i == 0:
-            coeff = (-np.einsum("aij,bji->ab", mats, mats)) % p
+            # basis is the identity: x y runs over the products A_a A_b
+            coeff = -(alg.c @ alg.traces) % p
         else:
+            mats = alg.element_matrices(basis)
             rows, cols = np.triu_indices(d)
             prods = mats[rows] @ mats[cols]
             prods %= p
@@ -226,18 +219,10 @@ def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
 
 def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     """Exhaustive radical: all p^rank elements, at most ORACLE_BUDGET of
-    them, keeping generators of nilpotent ideals.
-
-    Necessary conditions cut the candidates first: tr(x) = 0 on the module
-    and on the cell module, checked on the coefficient vectors since both
-    traces are linear, then x nilpotent and, in a non-commutative algebra,
-    every x A_j nilpotent.  In a commutative algebra the nilpotent elements
-    are exactly the radical, since there (x A_j)^d = x^d A_j^d.  Otherwise
-    the survivors' span gets one exact span-power test; if that ideal is not
-    nilpotent, each survivor gets its own.  Each batch is one prefix of
-    r - l coordinates before the passing suffixes of the last l, so it
-    builds at most p^l d^2 matrix entries.  Checks that the kept set is a
-    subspace."""
+    them, keeping generators of nilpotent ideals; pruned and batched as the
+    module docstring says.  In a commutative algebra the nilpotent elements
+    are exactly the radical, since there (x A_j)^d = x^d A_j^d.  Checks
+    that the kept set is a subspace."""
     p, r, d = alg.p, alg.rank, alg.d
     count = p**r
     if count > ORACLE_BUDGET:
@@ -246,7 +231,7 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     while low < r and p ** (low + 1) * d * d <= ORACLE_BATCH_ENTRIES:
         low += 1
     # row (t, k): trace of A_k on the module (t = 0) and on the cell module
-    traces = np.stack([np.einsum("rii->r", alg.mats), alg.cell_traces]) % p
+    traces = np.stack([alg.traces, alg.cell_traces])
     # column s: the digits of suffix s, so batches enumerate as a base-p count
     suffixes = np.indices((p,) * low).reshape(low, -1)
     suffix_traces = traces[:, r - low :] @ suffixes % p

@@ -213,41 +213,40 @@ def verify_regularity(scheme: Scheme) -> np.ndarray:
     return c
 
 
+def fiber_cells(scheme: Scheme) -> np.ndarray:
+    """(2, rank) int64: the source and target cell of every relation."""
+    if None in scheme.fiber_of:
+        k = scheme.fiber_of.index(None)
+        raise InternalCheckError(f"relation {k} lies in no fiber")
+    return np.array(scheme.fiber_of, dtype=np.int64).reshape(-1, 2).T
+
+
 def relation_stats(scheme: Scheme) -> RelationStats:
-    """Out- and in-degrees.  Requires a certified scheme; the counting
-    identities it checks cannot fail after verify_regularity."""
-    scheme.tensor  # certify
-    sizes = scheme.relation_sizes
-    out_d = []
-    in_d = []
-    for rel in range(scheme.rank):
-        fiber = scheme.fiber_of[rel]
-        if fiber is None:
-            raise InternalCheckError(f"relation {rel} lies in no single fiber")
-        x, y = fiber
-        mat = scheme.adjacency[rel]
-        row_counts = mat[list(scheme.cells[x])].sum(axis=1)
-        col_counts = mat[:, list(scheme.cells[y])].sum(axis=0)
-        if np.any(row_counts != row_counts[0]) or np.any(col_counts != col_counts[0]):
-            raise InternalCheckError(f"relation {rel} has no constant degrees")
-        out_d.append(int(row_counts[0]))
-        in_d.append(int(col_counts[0]))
-        # |X| d_out = |R| = |Y| d_in
-        size_x, size_y = len(scheme.cells[x]), len(scheme.cells[y])
-        if not size_x * out_d[-1] == sizes[rel] == size_y * in_d[-1]:
-            raise InternalCheckError(f"relation {rel}: |X| d_out, |R|, |Y| d_in differ")
-    # degree sums per fiber: sum of out-degrees over X x Y equals |Y|
-    for x in range(len(scheme.cells)):
-        for y in range(len(scheme.cells)):
-            rels = [m for m in range(scheme.rank) if scheme.fiber_of[m] == (x, y)]
-            if rels and (
-                sum(out_d[m] for m in rels) != len(scheme.cells[y])
-                or sum(in_d[m] for m in rels) != len(scheme.cells[x])
-            ):
-                raise InternalCheckError(
-                    f"degrees over fiber ({x},{y}) do not sum to the cell sizes"
-                )
-    return RelationStats(out_degrees=tuple(out_d), in_degrees=tuple(in_d))
+    """Out- and in-degrees from the certified tensor, for R_k in X x Y:
+    d_out = c[k][k^t][1_X] and d_in = c[k^t][k][1_Y], the diagonals of
+    A_k A_k^t and A_k^t A_k.  The identities it checks cannot fail."""
+    c = scheme.tensor
+    src, tgt = fiber_cells(scheme)
+    k, kt = np.arange(scheme.rank), np.array(scheme.transpose_of, dtype=np.int64)
+    one = np.array(scheme.diagonal_colors, dtype=np.int64)
+    out_d, in_d = c[k, kt, one[src]], c[kt, k, one[tgt]]
+    # |X| d_out = |R| = |Y| d_in
+    cell_sizes = np.bincount(scheme.point_cell)
+    sizes = np.asarray(scheme.relation_sizes)
+    bad = (cell_sizes[src] * out_d != sizes) | (sizes != cell_sizes[tgt] * in_d)
+    if bad.any():
+        raise InternalCheckError(f"relation {bad.argmax()}: |X| d_out, |R|, |Y| d_in differ")
+    # the degrees over a fiber X x Y sum to the cell sizes: out to |Y|, in to |X|
+    f = cell_sizes.size
+    fiber = src * f + tgt
+    sums = [np.bincount(fiber, degrees, f * f)[fiber] for degrees in (out_d, in_d)]
+    wrong = (sums[0] != cell_sizes[tgt]) | (sums[1] != cell_sizes[src])
+    if wrong.any():
+        x, y = divmod(int(fiber[wrong].min()), f)
+        raise InternalCheckError(
+            f"degrees over fiber ({x},{y}) do not sum to the cell sizes"
+        )
+    return RelationStats(tuple(out_d.tolist()), tuple(in_d.tolist()))
 
 
 def classify(scheme: Scheme) -> SchemeFlags:

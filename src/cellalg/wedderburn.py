@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .discriminant import product_cell_sizes, product_relation_sizes
+from .discriminant import product_cell_sizes, product_relation_sizes, regular_character
 from .linalg import (
     det_fraction_free,
     kernel_rational,
@@ -96,10 +96,9 @@ def center_basis(scheme: Scheme) -> list[list[int]]:
 
 def regular_discriminant(scheme: Scheme) -> int:
     """|det G_reg| of the regular trace form, exactly: G_reg[i][j] =
-    sum_k c_ijk tr(L_k), with tr(L_k) = sum_s c_kss the trace of left
-    multiplication by A_k."""
+    sum_k c_ijk tr(L_k), with tr(L_k) the regular character."""
     c = scheme.tensor
-    return abs(det_fraction_free(c @ np.einsum("kss->k", c)))
+    return abs(det_fraction_free(c @ regular_character(c)))
 
 
 def check_blocks(scheme: Scheme, wd: WedderburnData, det_reg: int) -> str | None:

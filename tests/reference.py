@@ -1,8 +1,9 @@
 """Plain-loop references the tests compare the package against: exact
 structure-constant products, group-axiom checks, the regularity check,
-the construction checks and relation facts of a color matrix, direct-product
-tables, the center from every commutator row, nilpotency by
-plain squaring, the cell-module traces from the cell indicator matrix, the
+the construction checks and relation facts of a color matrix, the degrees
+by row and column sums, direct-product tables, the center from every
+commutator row, nilpotency by plain squaring, the cell-module traces from
+the cell indicator matrix, the
 exhaustive radical with one ideal test per element, the
 nilpotent-ideal test by one three-operand einsum and the radical chain run
 through every step with every ordered pair.  Also the corpus, built once for
@@ -197,6 +198,22 @@ def nilpotent_by_squaring(mats, p) -> np.ndarray:
         power = power @ power % p
         t *= 2
     return ~power.any(axis=(1, 2))
+
+
+def degrees_by_rows(scheme) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(out_degrees, in_degrees) recounted from each adjacency matrix: the
+    row sums over the source cell and the column sums over the target cell,
+    each checked constant."""
+    out_d, in_d = [], []
+    for rel in range(scheme.rank):
+        x, y = scheme.fiber_of[rel]
+        mat = scheme.adjacency[rel]
+        rows = mat[list(scheme.cells[x])].sum(axis=1)
+        cols = mat[:, list(scheme.cells[y])].sum(axis=0)
+        assert (rows == rows[0]).all() and (cols == cols[0]).all(), rel
+        out_d.append(int(rows[0]))
+        in_d.append(int(cols[0]))
+    return tuple(out_d), tuple(in_d)
 
 
 def cell_traces_by_indicators(scheme) -> np.ndarray:

@@ -131,6 +131,14 @@ def test_one_based_import(capsys, tmp_path):
     assert code == 2
 
 
+def test_one_based_file_below_1_is_named_without_the_flag_hint(capsys, tmp_path):
+    path = write_scheme(tmp_path, RANK2_3_FILE)
+    code, _, err = run(capsys, ["info", path, "--one-based"])
+    assert code == 2
+    assert "1-based colors must be at least 1, not 0" in err
+    assert "--one-based" not in err
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -241,6 +249,16 @@ def test_verify_rejects_jobs_below_one(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--corpus", "--jobs", "0"])
     assert code == 2
     assert "--jobs" in err
+
+
+def test_verify_rejects_a_negative_seed(capsys, tmp_path, monkeypatch):
+    # a seed decompose cannot take is a usage error, not a failed theorem
+    path = write_scheme(tmp_path, RANK2_3_FILE)
+    code, out, err = run(capsys, ["verify", path, "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert "seed must be non-negative, not -1" in err
+    monkeypatch.setattr("cellalg.cli.verify_corpus", None)
+    assert run(capsys, ["verify", "--corpus", "--seed", "-1"])[0] == 2
 
 
 def test_verify_failing_report_exits_1(capsys, tmp_path, monkeypatch):

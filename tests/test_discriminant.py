@@ -16,10 +16,12 @@ import sympy
 import cellalg
 from cellalg import discriminant
 from cellalg.discriminant import (
+    cell_character,
     discriminant_standard,
     gram_standard,
     product_cell_sizes,
     product_relation_sizes,
+    regular_character,
     standard_character,
     transpose_pair_count,
 )
@@ -31,8 +33,9 @@ from cellalg.generators import (
     symmetric_table,
     thin_group_scheme,
 )
+from cellalg.linalg import regular_matrices
 from cellalg.scheme import InternalCheckError
-from reference import corpus
+from reference import cell_traces_by_indicators, corpus
 
 
 def gram_by_matrix_traces(scheme):
@@ -42,13 +45,29 @@ def gram_by_matrix_traces(scheme):
 
 
 def test_standard_character_frozen():
-    s = rank2(3)
-    assert standard_character(s, 0) == 3
-    assert standard_character(s, 1) == 0
+    assert standard_character(rank2(3)).tolist() == [3, 0]
     d = direct_sum(rank2(2), rank2(3))
-    assert [standard_character(d, k) for k in range(d.rank)] == [2, 3, 0, 0, 0, 0]
-    with pytest.raises(ValueError):
-        standard_character(s, 2)
+    assert standard_character(d).tolist() == [2, 3, 0, 0, 0, 0]
+
+
+def test_characters_are_traces_of_explicit_matrices():
+    cases = [
+        *corpus(),
+        ("thin-s4", thin_group_scheme(symmetric_table(4))),
+        ("discrete-6", discrete(6)),
+        ("thin-z30", thin_group_scheme(cyclic_table(30))),
+    ]
+    for scheme_id, scheme in cases:
+        c = scheme.tensor
+        for chi, mats in (
+            (standard_character(scheme), scheme.adjacency),
+            (regular_character(c), regular_matrices(c)[0]),
+        ):
+            assert chi.dtype == np.int64, scheme_id
+            assert chi.tolist() == [int(np.trace(m)) for m in mats], scheme_id
+        cell = cell_character(scheme)
+        assert cell.dtype == np.int64, scheme_id
+        assert np.array_equal(cell, cell_traces_by_indicators(scheme)), scheme_id
 
 
 def test_gram_rank2_3():
@@ -129,7 +148,9 @@ def test_failed_checks_raise_with_a_reason(monkeypatch):
     monkeypatch.setattr(discriminant, "det_fraction_free", lambda rows: 0)
     with pytest.raises(InternalCheckError, match="product of relation sizes"):
         discriminant_standard(rank2(3))
-    monkeypatch.setattr(discriminant, "standard_character", lambda scheme, k: 1)
+    monkeypatch.setattr(
+        discriminant, "standard_character", lambda scheme: np.ones(scheme.rank, dtype=np.int64)
+    )
     with pytest.raises(InternalCheckError, match="closed form"):
         gram_standard(rank2(3))
 

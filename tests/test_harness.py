@@ -1,5 +1,9 @@
 """Verification harness: report content, serialization, determinism."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from cellalg import harness
@@ -159,6 +163,48 @@ def test_pool_starts_no_more_workers_than_schemes(monkeypatch):
     reports, _ = verify_corpus(ids=["thin-z02", "rank2-02"], jobs=64)
     assert requested == [2]
     assert [rep["scheme_id"] for rep in reports] == ["rank2-02", "thin-z02"]
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be non-negative, not -1"):
+        VerifyOptions(seed=-1)
+    assert VerifyOptions(seed=0).seed == 0
+
+
+def _tree(root):
+    return sorted(
+        (str(path.relative_to(root)), path.stat().st_size, path.stat().st_mtime_ns)
+        for path in root.rglob("*")
+    )
+
+
+def test_benchmark_tracer_leaves_the_reports_unchanged(tmp_path, monkeypatch):
+    # the benchmark discards the reports of its traced pass, so a tracing
+    # hook that raised inside a stage would go unseen there: verify_scheme
+    # turns the exception into a failed row
+    perfbench = Path(__file__).parents[1] / "perfbench"
+    before = _tree(perfbench)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", perfbench / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    ids = ["rank2-03", "thin-s3", "dsum-r2-d1"]
+    plain = [to_json_line(rep) for rep in verify_corpus(ids=ids)[0]]
+    tracer = spans.Tracer(tmp_path, full=True)
+    tracer.install()
+    try:
+        traced = [to_json_line(rep) for rep in harness.verify_corpus(ids=ids)[0]]
+    finally:
+        tracer.restore()
+    assert harness.verify_scheme is verify_scheme
+    assert traced == plain
+    profile = tracer.profile()
+    assert profile["harness.verify_scheme"]["calls"] == len(ids)
+    for name in spans.COUNTERS:
+        assert profile[name]["calls"] > 0, name
+    assert profile["radical.radical_oracle"]["elements"] > 0
+    assert list(tmp_path.iterdir()) == []
+    assert _tree(perfbench) == before
 
 
 def test_same_seed_same_bytes():

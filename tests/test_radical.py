@@ -28,6 +28,7 @@ from reference import (
 
 import cellalg
 from cellalg import harness, radical
+from cellalg.discriminant import cell_character
 from cellalg.generators import (
     build_scheme,
     cyclic_table,
@@ -307,8 +308,10 @@ def test_oracle_per_survivor_fallback_matches_chain(monkeypatch):
 
 def test_cell_traces_equal_the_indicator_reference_on_corpus():
     for scheme_id, scheme in corpus():
+        expected = cell_traces_by_indicators(scheme)
+        assert np.array_equal(cell_character(scheme), expected), scheme_id
         traces = modular_algebra(scheme, 2).cell_traces
-        assert np.array_equal(traces, cell_traces_by_indicators(scheme)), scheme_id
+        assert np.array_equal(traces, expected % 2), scheme_id
 
 
 @st.composite
@@ -322,7 +325,8 @@ def schurian_schemes(draw):
 @given(schurian_schemes())
 def test_cell_traces_equal_the_indicator_reference_on_random_schurian_schemes(scheme):
     expected = cell_traces_by_indicators(scheme)
-    assert np.array_equal(modular_algebra(scheme, 2).cell_traces, expected)
+    assert np.array_equal(cell_character(scheme), expected)
+    assert np.array_equal(modular_algebra(scheme, 2).cell_traces, expected % 2)
 
 
 def test_relation_without_a_fiber_raises():
@@ -357,6 +361,28 @@ def test_cell_trace_leaves_exactly_the_nilpotent_elements_of_thin_z09(monkeypatc
     entries = _record_batches(monkeypatch)
     assert radical_oracle(alg).dim == 8
     assert sum(entries) == 3**8 * 9**2
+
+
+def test_chain_step_0_builds_no_module_matrix(monkeypatch):
+    # rank2(3) is semisimple mod 2 (F = 9): the trace-form kernel of step 0,
+    # read from the character, is already the zero radical
+    entries = _record_batches(monkeypatch)
+    assert radical_chain(modular_algebra(rank2(3), 2)).dim == 0
+    assert entries == []
+
+
+def test_module_traces_are_the_traces_of_the_module_matrices():
+    # every (scheme, p) row of the corpus report; c @ traces is the step-0
+    # matrix of traces tr(A_a A_b) on the module
+    checked = 0
+    for scheme_id, scheme in corpus():
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            assert np.array_equal(alg.traces, np.einsum("rii->r", alg.mats) % p)
+            gram = np.einsum("aij,bji->ab", alg.mats, alg.mats) % p
+            assert np.array_equal(alg.c @ alg.traces % p, gram), (scheme_id, p)
+            checked += 1
+    assert checked == 930
 
 
 def test_oracle_batches_stay_within_the_entry_bound(monkeypatch):

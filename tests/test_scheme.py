@@ -18,7 +18,7 @@ from cellalg.scheme import (
     relation_stats,
     verify_regularity,
 )
-from reference import corpus, regularity_by_loops, scheme_facts_by_loops
+from reference import corpus, degrees_by_rows, regularity_by_loops, scheme_facts_by_loops
 
 RANK2_3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 Z3_CIRCULANT = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -265,6 +265,45 @@ def test_stats_z3_circulant():
     assert st.out_degrees == (1, 1, 1)
     # homogeneous: out-degrees sum to n
     assert sum(st.out_degrees) == 3
+
+
+def _degrees(scheme):
+    stats = relation_stats(scheme)
+    return stats.out_degrees, stats.in_degrees
+
+
+def test_degrees_match_the_row_recount_on_the_corpus():
+    for scheme_id, s in corpus():
+        assert _degrees(s) == degrees_by_rows(s), scheme_id
+
+
+def test_degrees_match_the_row_recount_on_random_colorings():
+    rng = np.random.default_rng(77)
+    regular = 0
+    for _ in range(2000):
+        try:
+            s = from_color_matrix(random_coloring(rng))
+            s.tensor
+        except SchemeError:
+            continue
+        assert _degrees(s) == degrees_by_rows(s), s.colors.tolist()
+        regular += 1
+    assert regular >= 500
+
+
+def test_relation_stats_reads_no_adjacency_matrix(monkeypatch):
+    # the degrees come from the certified tensor alone
+    s = build_scheme("dsum-r2-r3")
+    s.tensor
+    expected = degrees_by_rows(s)
+
+    def refuse(scheme):
+        raise AssertionError("adjacency matrices read")
+
+    monkeypatch.setattr(Scheme, "adjacency", property(refuse))
+    with pytest.raises(AssertionError):
+        s.adjacency
+    assert _degrees(s) == expected == ((1, 1, 1, 3, 2, 2), (1, 1, 1, 2, 3, 2))
 
 
 def test_classify():
