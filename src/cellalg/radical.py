@@ -25,25 +25,29 @@ Two independent routes:
   after each step that shrinks the basis, and the chain stops at the
   first subspace that passes; one that ends without passing raises.
 
-* radical_oracle: enumerate every algebra element (at most ORACLE_BUDGET
-  of them) and keep those whose two-sided ideal is nilpotent.  Necessary
-  conditions prune first.  Two traces are linear, so they are tested on
-  coefficient vectors before any matrix is built: the faithful module's
-  character and the cell character (see discriminant.py), both zero on a
-  nilpotent element; the cell trace prunes where the other cannot, when p
-  divides the module dimension.  Then nilpotency: a candidate is dropped
-  when its matrix, or one of its repeated squares, has nonzero trace, and
-  the rest get the exact zero test.  In a commutative algebra the radical
-  is exactly the set of nilpotent elements, so that is the answer;
-  otherwise every x A_j must be nilpotent too, and one span-power test on
-  the ideal of all survivors accepts them together, with one test per
-  survivor only if it fails.  The elements go in batches: the last l
-  coordinates run over a table of all p^l suffixes, built once with both
-  trace columns, with l >= 1 as large as p^l d^2 <= ORACLE_BATCH_ENTRIES
-  allows, and each batch puts one prefix of the other coordinates before
-  the suffixes whose traces it cancels.  So no batch builds matrices of
-  more than ORACLE_BATCH_ENTRIES entries: p d^2 never exceeds it, since
-  d <= r and p^r <= ORACLE_BUDGET.  Exponential and only for
+* radical_oracle: enumerate the algebra (at most ORACLE_BUDGET elements)
+  and keep the elements whose two-sided ideal is nilpotent.  Linear
+  conditions come first: every radical element has zero trace on the
+  faithful module and on the cell module (the characters of
+  discriminant.py), and so has e_X x e_X for each cell X, since the radical
+  is a two-sided ideal; its point trace is x_k |X| for the diagonal
+  relation k of X.  The cell conditions prune where the module trace
+  cannot, when p divides the module dimension.  The candidates are every
+  F_p-combination of a basis of the kernel of these conditions, counted
+  in base p, in batches of at most ORACLE_BATCH_ENTRIES / d^2 of them.  In
+  a commutative algebra the radical is exactly the set of nilpotent
+  elements, and x -> x^e, for e the least power of p with e >= d, is
+  F_p-linear and zero exactly on them; so the e-th powers of the kernel
+  basis are formed once, and each batch is one product of its
+  coefficients with those powers and a zero test.  Otherwise each batch's
+  module matrices are one product of its coefficients with the kernel
+  basis's matrices; a candidate is dropped when its matrix, or one of its
+  repeated squares, has nonzero trace, the rest get the exact zero test,
+  every x A_j must be nilpotent too, and one span-power test on the ideal
+  of all survivors accepts them together, with one test per survivor only
+  if it fails.  The batch products run in float64, exact because their
+  entries are residues below p and the k <= r products summed per entry
+  stay below 2^53 when p^r <= ORACLE_BUDGET.  Exponential and only for
   cross-checking the chain on small instances; it never uses the chain or
   the trace-form kernel as a subspace.
 
@@ -59,12 +63,10 @@ checks that it lies in the chain's radical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 
 import numpy as np
 
-from .discriminant import cell_character, regular_character, standard_character
 from .linalg import (
     charpoly_mod_p,
     is_prime,
@@ -96,7 +98,8 @@ class ModularAlgebra:
     """Adjacency algebra over F_p, all mod p: structure constants, the basis
     acting on the smaller faithful module (of dimension d = min(n, rank);
     left-regular only when strictly smaller), that module's character
-    traces and the cell character cell_traces."""
+    traces, the point-module character point_traces and the cell character
+    cell_traces, reduced from the scheme's characters."""
 
     def __init__(self, scheme: Scheme, p: int):
         # before is_prime, whose trial division runs for minutes on huge p
@@ -107,14 +110,16 @@ class ModularAlgebra:
         self.p = p
         self.rank = scheme.rank
         self.c = scheme.tensor % p
+        standard, regular, cell = scheme.characters
         if self.rank < scheme.size:
             self.mats = regular_matrices(self.c)[0] % p
-            self.traces = regular_character(self.c) % p
+            self.traces = regular % p
         else:
             self.mats = scheme.adjacency % p
-            self.traces = standard_character(scheme) % p
+            self.traces = standard % p
         self.d = self.mats.shape[1]
-        self.cell_traces = cell_character(scheme) % p
+        self.point_traces = standard % p
+        self.cell_traces = cell % p
 
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
         """Module matrices of coefficient vectors (batched)."""
@@ -217,36 +222,87 @@ def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
     return mask
 
 
+def _trace_conditions(alg: ModularAlgebra) -> np.ndarray:
+    """Rows of linear conditions mod p that every radical element x meets:
+    zero trace on the module, zero cell character, and, in row 2 + k,
+    x_k chi_std(A_k) = 0.  That row is zero unless k is the diagonal relation
+    e_X of a cell X, and then it is the point trace x_k |X| of e_X x e_X,
+    which lies in the radical, a two-sided ideal, and so is nilpotent."""
+    return np.vstack([alg.traces, alg.cell_traces, np.diag(alg.point_traces)])
+
+
+def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
+    """x^e for each matrix x of a (k, d, d) stack over F_p, by
+    square-and-multiply, where e is the least power of p with e >= d; so
+    x^e = 0 exactly when x is nilpotent.  In a commutative algebra over F_p,
+    x -> x^e is F_p-linear, so the powers of a basis give every element's."""
+    d = mats.shape[-1]
+    e = 1
+    while e < d:
+        e *= p
+    base = mats % p
+    power = np.broadcast_to(np.eye(d, dtype=np.int64), mats.shape).copy()
+    while True:
+        if e & 1:
+            power = power @ base
+            power %= p
+        e >>= 1
+        if not e:
+            return power
+        base = base @ base
+        base %= p
+
+
+def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
+    """Row b: sum_i coeffs[b, i] stack[i] mod p, for residues below p, as
+    one float64 GEMM; the float64 residues it returns are exact while
+    k (p - 1)^2 < 2^53 for the inner dimension k, since then every partial
+    sum is an integer below 2^53."""
+    k = coeffs.shape[1]
+    if k * (p - 1) ** 2 >= 1 << 53:
+        raise InternalCheckError(
+            f"{k} products of residues mod {p} can pass 2^53, where float64 "
+            "sums stop being exact"
+        )
+    out = coeffs.astype(np.float64) @ stack.astype(np.float64)
+    np.fmod(out, p, out=out)
+    return out
+
+
 def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
-    """Exhaustive radical: all p^rank elements, at most ORACLE_BUDGET of
-    them, keeping generators of nilpotent ideals; pruned and batched as the
-    module docstring says.  In a commutative algebra the nilpotent elements
-    are exactly the radical, since there (x A_j)^d = x^d A_j^d.  Checks
-    that the kept set is a subspace."""
+    """Exhaustive radical: every element of the kernel of the trace
+    conditions, at most ORACLE_BUDGET of them, keeping generators of
+    nilpotent ideals; batched and tested as the module docstring says.  In a
+    commutative algebra the nilpotent elements are exactly the radical,
+    since there (x A_j)^d = x^d A_j^d.  Checks that the kept set is a
+    subspace."""
     p, r, d = alg.p, alg.rank, alg.d
     count = p**r
     if count > ORACLE_BUDGET:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
-    low = 1
-    while low < r and p ** (low + 1) * d * d <= ORACLE_BATCH_ENTRIES:
-        low += 1
-    # row (t, k): trace of A_k on the module (t = 0) and on the cell module
-    traces = np.stack([alg.traces, alg.cell_traces])
-    # column s: the digits of suffix s, so batches enumerate as a base-p count
-    suffixes = np.indices((p,) * low).reshape(low, -1)
-    suffix_traces = traces[:, r - low :] @ suffixes % p
+    kernel = kernel_mod_p(_trace_conditions(alg), p)
+    k = kernel.shape[0]
+    # row i: the module matrix of kernel row i, in a commutative algebra
+    # its e-th power
+    span = alg.element_matrices(kernel)
     commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
+    if commutative:
+        span = _frobenius_powers(span, p)
+    span = span.reshape(k, d * d)
+    # candidate i has the base-p digits of i as its kernel coordinates
+    place = p ** np.arange(k - 1, -1, -1)
+    step = max(1, ORACLE_BATCH_ENTRIES // (d * d))
     kept = []
-    for digits in product(range(p), repeat=r - low):
-        prefix = np.array(digits, dtype=np.int64)
-        cancel = -(traces[:, : r - low] @ prefix) % p
-        pass_both = (suffix_traces == cancel[:, None]).all(axis=0)
-        vecs = np.empty((np.count_nonzero(pass_both), r), dtype=np.int64)
-        vecs[:, : r - low] = prefix
-        vecs[:, r - low :] = suffixes[:, pass_both].T
-        mats = alg.element_matrices(vecs)
-        keep = _nilpotent_mask(mats, p)
-        if not commutative:
+    for start in range(0, p**k, step):
+        combos = np.arange(start, min(start + step, p**k))[:, None] // place % p
+        vecs = combos @ kernel % p
+        mats = _combinations(combos, span, p)
+        if commutative:
+            # row b is the e-th power of candidate b
+            keep = ~mats.any(axis=1)
+        else:
+            mats = mats.astype(np.int64).reshape(-1, d, d)
+            keep = _nilpotent_mask(mats, p)
             for j in range(r):
                 sel = np.nonzero(keep)[0]
                 sub = mats[sel] @ alg.mats[j]

@@ -103,6 +103,23 @@ class Scheme:
         A_i A_j = sum_k c[i][j][k] A_k."""
         return verify_regularity(self)
 
+    @cached_property
+    def characters(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The standard, regular and cell characters, read-only (r,) int64
+        vectors derived once per scheme by discriminant.py; they do not
+        depend on the prime."""
+        # discriminant.py imports this module
+        from .discriminant import cell_character, regular_character, standard_character
+
+        chars = (
+            standard_character(self),
+            regular_character(self.tensor),
+            cell_character(self),
+        )
+        for a in chars:
+            a.flags.writeable = False
+        return chars
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.colors, other.colors)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cellalg import harness
+from cellalg import discriminant, harness
 from cellalg.generators import build_scheme, rank2
 from cellalg.harness import (
     VerifyOptions,
@@ -121,6 +121,25 @@ def test_verify_corpus_subset_and_summary():
     assert summary["rows_failed"] == 0
     assert summary["primes_tested"] == sum(len(rep["rows"]) for rep in reports)
     assert summarize(reports) == summary
+
+
+def test_corpus_derives_each_character_once_per_scheme(monkeypatch):
+    # the characters do not depend on the prime: one cell character for each
+    # of the 62 schemes, not one for each of the 930 (scheme, p) rows
+    derived = []
+    derive = discriminant.cell_character
+
+    def counting(scheme):
+        derived.append(scheme)
+        return derive(scheme)
+
+    # wherever the package holds the function, not only where it is defined
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cellalg" and vars(module).get("cell_character") is derive:
+            monkeypatch.setattr(module, "cell_character", counting)
+    reports, summary = verify_corpus()
+    assert summary["primes_tested"] == 930 and summary["rows_failed"] == 0
+    assert len(derived) == len(reports) == 62
 
 
 def test_verify_corpus_empty_filter():

@@ -22,6 +22,7 @@ from reference import (
     corpus,
     ideal_is_nilpotent_by_einsum,
     nilpotent_by_squaring,
+    radical_by_frobenius_kernel,
     radical_chain_all_steps,
     radical_oracle_by_ideals,
 )
@@ -57,8 +58,11 @@ from cellalg.radical import (
     BudgetExceeded,
     InternalCheckError,
     ModularAlgebra,
+    _combinations,
+    _frobenius_powers,
     _ideal_is_nilpotent,
     _nilpotent_mask,
+    _trace_conditions,
     central_nilpotent_witness,
     modular_algebra,
     radical_chain,
@@ -337,38 +341,47 @@ def test_relation_without_a_fiber_raises():
 
 
 def _record_batches(monkeypatch):
-    """Spy on the oracle's element_matrices calls; the list gets the matrix
-    entries (rows times d^2) of each call."""
-    entries = []
-    build = ModularAlgebra.element_matrices
+    """Spy on the oracle's batch products; the list gets the candidates
+    (rows) and the matrix entries (rows times d^2) of each batch."""
+    batches = []
+    combine = radical._combinations
 
-    def recording(alg, vecs):
-        entries.append(len(vecs) * alg.d**2)
-        return build(alg, vecs)
+    def recording(coeffs, stack, p):
+        out = combine(coeffs, stack, p)
+        batches.append((len(coeffs), out.size))
+        return out
 
-    monkeypatch.setattr(ModularAlgebra, "element_matrices", recording)
-    return entries
+    monkeypatch.setattr(radical, "_combinations", recording)
+    return batches
 
 
 def test_cell_trace_leaves_exactly_the_nilpotent_elements_of_thin_z09(monkeypatch):
     # p = 3 divides the module dimension 9, so every element has module
-    # trace 0; the cell trace, the coefficient sum, leaves 3^8 of the 3^9
-    # elements for the matrix tests: the augmentation ideal, which is the
-    # radical of F_3[Z_9]
+    # trace 0, and the point trace of e_X x e_X is 9 x_0 = 0; the cell
+    # trace, the coefficient sum, leaves 3^8 of the 3^9 elements for the
+    # nilpotency test: the augmentation ideal, which is the radical of
+    # F_3[Z_9]
     alg = modular_algebra(build_scheme("thin-z09"), 3)
     assert not (np.einsum("rii->r", alg.mats) % 3).any()
     assert alg.cell_traces.tolist() == [1] * 9
-    entries = _record_batches(monkeypatch)
+    batches = _record_batches(monkeypatch)
     assert radical_oracle(alg).dim == 8
-    assert sum(entries) == 3**8 * 9**2
+    assert sum(rows for rows, _ in batches) == 3**8
 
 
 def test_chain_step_0_builds_no_module_matrix(monkeypatch):
     # rank2(3) is semisimple mod 2 (F = 9): the trace-form kernel of step 0,
     # read from the character, is already the zero radical
-    entries = _record_batches(monkeypatch)
+    built = []
+    build = ModularAlgebra.element_matrices
+
+    def recording(alg, vecs):
+        built.append(len(vecs))
+        return build(alg, vecs)
+
+    monkeypatch.setattr(ModularAlgebra, "element_matrices", recording)
     assert radical_chain(modular_algebra(rank2(3), 2)).dim == 0
-    assert entries == []
+    assert built == []
 
 
 def test_module_traces_are_the_traces_of_the_module_matrices():
@@ -387,40 +400,123 @@ def test_module_traces_are_the_traces_of_the_module_matrices():
 
 def test_oracle_batches_stay_within_the_entry_bound(monkeypatch):
     # every oracle run of the corpus report
-    entries = _record_batches(monkeypatch)
+    batches = _record_batches(monkeypatch)
     checked = 0
     for scheme_id, scheme in corpus():
         for p in harness.tested_primes(scheme):
             if p**scheme.rank > ORACLE_BUDGET:
                 continue
             alg = modular_algebra(scheme, p)
-            start = len(entries)
+            start = len(batches)
             radical_oracle(alg)
-            assert len(entries) > start, (scheme_id, p)
-            assert max(entries[start:]) <= ORACLE_BATCH_ENTRIES, (scheme_id, p)
+            assert len(batches) > start, (scheme_id, p)
+            entries = max(size for _, size in batches[start:])
+            assert entries <= ORACLE_BATCH_ENTRIES, (scheme_id, p)
             checked += 1
     assert checked == 533
 
 
 def test_small_oracle_batches_give_the_same_bases(monkeypatch):
-    # 64 entries leave one suffix digit for most cases, so the oracle runs
-    # through many prefixes
+    # 64 entries leave one candidate per batch once d^2 > 64, so the oracle
+    # runs through many batches
     expected = {
         (scheme_id, p): radical_oracle(modular_algebra(scheme, p)).basis
         for scheme_id, scheme, p in _corpus_cases(SMALL)
     }
     monkeypatch.setattr(radical, "ORACLE_BATCH_ENTRIES", 64)
-    entries = _record_batches(monkeypatch)
+    batches = _record_batches(monkeypatch)
     most_batches = 0
     for scheme_id, scheme, p in _corpus_cases(SMALL):
         alg = modular_algebra(scheme, p)
-        start = len(entries)
+        start = len(batches)
         basis = radical_oracle(alg).basis
         assert np.array_equal(basis, expected[scheme_id, p]), (scheme_id, p)
-        assert max(entries[start:]) <= max(64, p * alg.d**2), (scheme_id, p)
-        most_batches = max(most_batches, len(entries) - start)
+        entries = max(size for _, size in batches[start:])
+        assert entries <= max(64, alg.d**2), (scheme_id, p)
+        most_batches = max(most_batches, len(batches) - start)
     assert len(expected) >= 1000
     assert most_batches > 1000
+
+
+def test_chain_radical_meets_the_trace_conditions():
+    # every (scheme, p) row of the corpus report: the oracle enumerates the
+    # kernel of these rows, so the radical must lie in it; the cell rows
+    # are the point traces of e_X x e_X, here for one random x per row
+    rng = np.random.default_rng(16)
+    checked = 0
+    for scheme_id, scheme in corpus():
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            rows = _trace_conditions(alg)
+            assert not (rows @ radical_chain(alg).basis.T % p).any(), (scheme_id, p)
+            x = rng.integers(0, p, scheme.rank)
+            mat = np.einsum("r,rij->ij", x, scheme.adjacency)
+            for k in scheme.diagonal_colors:
+                e = scheme.adjacency[k]
+                assert np.trace(e @ mat @ e) % p == rows[2 + k] @ x % p
+            checked += 1
+    assert checked == 930
+
+
+def test_frobenius_powers_of_a_basis_give_every_power():
+    # in a commutative algebra x -> x^e is F_p-linear: sum_k x_k A_k^e is
+    # x^e, here formed by e - 1 plain products, for random x
+    rng = np.random.default_rng(17)
+    checked = 0
+    for scheme_id, scheme in corpus():
+        if not _is_commutative(scheme):
+            continue
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            linear = _frobenius_powers(alg.mats, p)
+            x = rng.integers(0, p, (3, alg.rank))
+            mats = alg.element_matrices(x)
+            power, e = mats, 1
+            while e < alg.d:
+                e *= p
+            for _ in range(e - 1):
+                power = power @ mats % p
+            combined = np.einsum("br,rij->bij", x, linear) % p
+            assert np.array_equal(combined, power), (scheme_id, p)
+            checked += 1
+    assert checked == 675
+
+
+def test_float64_combinations_are_exact_up_to_the_bound():
+    # at the budget: the most products of residues a batch row sums, k with
+    # p^k <= ORACLE_BUDGET, every one (p - 1)^2
+    for p in primes_upto(ORACLE_BUDGET):
+        k = 1
+        while p ** (k + 1) <= ORACLE_BUDGET:
+            k += 1
+        row, col = np.full((1, k), p - 1), np.full((k, 1), p - 1)
+        assert _combinations(row, col, p).tolist() == [[k * (p - 1) ** 2 % p]], p
+    # just past the bound: k (p - 1)^2 = 2^53 with p - 1 = 2^26 and k = 2
+    q = (1 << 26) + 1
+    top = np.full((1, 1), q - 1)
+    assert _combinations(top, top, q).tolist() == [[1]]
+    with pytest.raises(InternalCheckError, match=r"2\^53"):
+        _combinations(np.full((1, 2), q - 1), np.full((2, 1), q - 1), q)
+
+
+def test_frobenius_kernel_equals_the_chain_on_commutative_rows():
+    # every commutative row of the corpus report, those past the oracle
+    # budget among them, and thin Z_18, Z_20 and Z_30 at every tested prime
+    extra = [(f"thin-z{n}", thin_group_scheme(cyclic_table(n))) for n in (18, 20, 30)]
+    checked = past = 0
+    for scheme_id, scheme in list(corpus()) + extra:
+        if not _is_commutative(scheme):
+            continue
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            expected = radical_chain(alg).basis
+            assert np.array_equal(radical_by_frobenius_kernel(alg), expected), (
+                scheme_id,
+                p,
+            )
+            checked += 1
+            past += p**scheme.rank > ORACLE_BUDGET
+    assert (checked, past) == (720, 230)
 
 
 def test_oracle_at_the_budget_edge_holds_bounded_memory():
