@@ -55,6 +55,8 @@ def parse_scheme_file(text: str, one_based: bool = False) -> Scheme:
     if not rows or len(rows[0]) != 1:
         raise UsageError("first line must contain the point count")
     n = rows[0][0]
+    if n < 1:
+        raise UsageError(f"point count must be positive, not {n}")
     body = rows[1:]
     if len(body) != n or any(len(r) != n for r in body):
         raise UsageError(f"expected {n} rows of {n} colors")
@@ -113,8 +115,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_frame(args) -> int:
+    options = VerifyOptions(seed=args.seed)
     scheme = _load_scheme(args)
-    wd = decompose(scheme, seed=args.seed)
+    wd = decompose(scheme, seed=options.seed)
     fn = frame_number(scheme, wd)
     print(
         f"blocks={_blocks_str(wd.blocks)} F={fn.frame} N={encode_quotient(fn.quotient)}"

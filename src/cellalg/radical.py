@@ -25,31 +25,30 @@ Two independent routes:
   after each step that shrinks the basis, and the chain stops at the
   first subspace that passes; one that ends without passing raises.
 
-* radical_oracle: enumerate the algebra (at most ORACLE_BUDGET elements)
-  and keep the elements whose two-sided ideal is nilpotent.  Linear
+* radical_oracle: the radical cut out by nilpotency alone.  Linear
   conditions come first: every radical element has zero trace on the
   faithful module and on the cell module (the characters of
   discriminant.py), and so has e_X x e_X for each cell X, since the radical
   is a two-sided ideal; its point trace is x_k |X| for the diagonal
   relation k of X.  The cell conditions prune where the module trace
-  cannot, when p divides the module dimension.  The candidates are every
-  F_p-combination of a basis of the kernel of these conditions, counted
-  in base p, in batches of at most ORACLE_BATCH_ENTRIES / d^2 of them.  In
-  a commutative algebra the radical is exactly the set of nilpotent
-  elements, and x -> x^e, for e the least power of p with e >= d, is
-  F_p-linear and zero exactly on them; so the e-th powers of the kernel
-  basis are formed once, and each batch is one product of its
-  coefficients with those powers and a zero test.  Otherwise each batch's
-  module matrices are one product of its coefficients with the kernel
-  basis's matrices; a candidate is dropped when its matrix, or one of its
-  repeated squares, has nonzero trace, the rest get the exact zero test,
-  every x A_j must be nilpotent too, and one span-power test on the ideal
-  of all survivors accepts them together, with one test per survivor only
-  if it fails.  The batch products run in float64, exact because their
-  entries are residues below p and the k <= r products summed per entry
-  stay below 2^53 when p^r <= ORACLE_BUDGET.  Exponential and only for
-  cross-checking the chain on small instances; it never uses the chain or
-  the trace-form kernel as a subspace.
+  cannot, when p divides the module dimension.  A matrix x is nilpotent
+  exactly when x^e = 0, for e the least power of p with e >= d, and that
+  is the oracle's one nilpotency test.  In a commutative algebra the
+  radical is exactly the set of nilpotent elements, and x -> x^e is
+  F_p-linear, so the radical is the kernel of one linear map: the e-th
+  powers of a basis of the kernel of the conditions, with no enumeration
+  and no budget.  Otherwise the oracle enumerates that kernel (at most
+  ORACLE_BUDGET elements): every F_p-combination of its basis, counted in
+  base p, in batches of at most ORACLE_BATCH_ENTRIES / d^2.  Each batch's
+  module matrices are one product of its coefficients with the basis's
+  matrices, in float64, exact because their entries are residues below p
+  and the k <= r products summed per entry stay below 2^53 when
+  p^r <= ORACLE_BUDGET.  A candidate x survives when x and every x A_j
+  are nilpotent; the survivors are reduced once, and one span-power test
+  on the ideal of that basis accepts them together, with one test per
+  survivor only if it fails.  Exponential and only for cross-checking the
+  chain on small instances; it never uses the chain or the trace-form
+  kernel as a subspace.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
 routes are comparable array-for-array.  The prime must be below 2^31, so
@@ -78,7 +77,8 @@ from .linalg import (
 from .scheme import InternalCheckError, Scheme
 
 
-# largest p^rank the exhaustive oracle enumerates
+# largest p^rank the oracle enumerates on a non-commutative algebra; the
+# report runs the oracle only on rows within it
 ORACLE_BUDGET = 1 << 16
 # most module-matrix entries one oracle batch builds
 ORACLE_BATCH_ENTRIES = 1 << 18
@@ -200,28 +200,6 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     )
 
 
-def _nilpotent_mask(mats: np.ndarray, p: int) -> np.ndarray:
-    """Which matrices of a (b, d, d) stack over F_p are nilpotent.
-
-    Squares until the exponent reaches d (x nilpotent iff x^d = 0).  Every
-    power of a nilpotent matrix has trace zero, so a candidate whose matrix
-    or current power has a nonzero trace is dropped before the next
-    squaring; the candidates left at the end get the exact zero test."""
-    d = mats.shape[-1]
-    alive = np.flatnonzero(np.einsum("bii->b", mats) % p == 0)
-    power = mats[alive]
-    t = 1
-    while t < d and alive.size:
-        power = power @ power
-        power %= p
-        t *= 2
-        traceless = np.einsum("bii->b", power) % p == 0
-        alive, power = alive[traceless], power[traceless]
-    mask = np.zeros(mats.shape[0], dtype=bool)
-    mask[alive[~power.any(axis=(1, 2))]] = True
-    return mask
-
-
 def _trace_conditions(alg: ModularAlgebra) -> np.ndarray:
     """Rows of linear conditions mod p that every radical element x meets:
     zero trace on the module, zero cell character, and, in row 2 + k,
@@ -232,25 +210,36 @@ def _trace_conditions(alg: ModularAlgebra) -> np.ndarray:
 
 
 def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
-    """x^e for each matrix x of a (k, d, d) stack over F_p, by
-    square-and-multiply, where e is the least power of p with e >= d; so
-    x^e = 0 exactly when x is nilpotent.  In a commutative algebra over F_p,
-    x -> x^e is F_p-linear, so the powers of a basis give every element's."""
+    """x^e for each matrix x of a (k, d, d) stack over F_p, where e is the
+    least power of p with e >= d; so x^e = 0 exactly when x is nilpotent.
+    In a commutative algebra over F_p, x -> x^e is F_p-linear, so the powers
+    of a basis give every element's.  Square-and-multiply starts from x
+    itself, not from an identity stack.  The products run in int64, exact
+    while d (p - 1)^2 < 2^63."""
     d = mats.shape[-1]
+    if d * (p - 1) ** 2 >= 1 << 63:
+        raise InternalCheckError(
+            f"{d} products of residues mod {p} can pass 2^63, where int64 sums wrap"
+        )
     e = 1
     while e < d:
         e *= p
     base = mats % p
-    power = np.broadcast_to(np.eye(d, dtype=np.int64), mats.shape).copy()
-    while True:
+    # e is a power of p: for p = 2 all squarings, for odd p e is odd
+    while not e & 1:
+        base = base @ base
+        base %= p
+        e >>= 1
+    power = base
+    e >>= 1
+    while e:
+        base = base @ base
+        base %= p
         if e & 1:
             power = power @ base
             power %= p
         e >>= 1
-        if not e:
-            return power
-        base = base @ base
-        base %= p
+    return power
 
 
 def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
@@ -270,24 +259,26 @@ def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
-    """Exhaustive radical: every element of the kernel of the trace
-    conditions, at most ORACLE_BUDGET of them, keeping generators of
-    nilpotent ideals; batched and tested as the module docstring says.  In a
-    commutative algebra the nilpotent elements are exactly the radical,
-    since there (x A_j)^d = x^d A_j^d.  Checks that the kept set is a
-    subspace."""
+    """Radical by nilpotency alone, within the kernel of the trace
+    conditions: on a commutative algebra the kernel of x -> x^e, otherwise
+    every element of the kernel, at most ORACLE_BUDGET of them, keeping
+    generators of nilpotent ideals, as the module docstring says.  The
+    enumeration checks that the kept set is a subspace."""
     p, r, d = alg.p, alg.rank, alg.d
+    commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
     count = p**r
-    if count > ORACLE_BUDGET:
+    if not commutative and count > ORACLE_BUDGET:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
     kernel = kernel_mod_p(_trace_conditions(alg), p)
     k = kernel.shape[0]
-    # row i: the module matrix of kernel row i, in a commutative algebra
-    # its e-th power
+    # row i: the module matrix of kernel row i
     span = alg.element_matrices(kernel)
-    commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
     if commutative:
-        span = _frobenius_powers(span, p)
+        # row i: the e-th power of kernel row i; the radical is the kernel
+        # of this linear map
+        powers = _frobenius_powers(span, p).reshape(k, d * d)
+        basis = rref_mod_p(kernel_mod_p(powers.T, p) @ kernel % p, p)[0]
+        return RadicalResult(dim=basis.shape[0], basis=basis)
     span = span.reshape(k, d * d)
     # candidate i has the base-p digits of i as its kernel coordinates
     place = p ** np.arange(k - 1, -1, -1)
@@ -295,28 +286,20 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     kept = []
     for start in range(0, p**k, step):
         combos = np.arange(start, min(start + step, p**k))[:, None] // place % p
-        vecs = combos @ kernel % p
-        mats = _combinations(combos, span, p)
-        if commutative:
-            # row b is the e-th power of candidate b
-            keep = ~mats.any(axis=1)
-        else:
-            mats = mats.astype(np.int64).reshape(-1, d, d)
-            keep = _nilpotent_mask(mats, p)
-            for j in range(r):
-                sel = np.nonzero(keep)[0]
-                sub = mats[sel] @ alg.mats[j]
-                sub %= p
-                keep[sel[~_nilpotent_mask(sub, p)]] = False
-        kept.append(vecs[keep])
-    survivors = np.concatenate(kept)
-    if commutative or _ideal_is_nilpotent(alg, rref_mod_p(survivors, p)[0]):
-        members = survivors
-    else:
-        members = np.array(
-            [v for v in survivors if _ideal_is_nilpotent(alg, v)], dtype=np.int64
-        ).reshape(-1, r)
+        mats = _combinations(combos, span, p).astype(np.int64).reshape(-1, d, d)
+        keep = ~_frobenius_powers(mats, p).any(axis=(1, 2))
+        for j in range(r):
+            sel = np.flatnonzero(keep)
+            sub = _frobenius_powers(mats[sel] @ alg.mats[j], p)
+            keep[sel[sub.any(axis=(1, 2))]] = False
+        kept.append(combos[keep] @ kernel % p)
+    members = np.concatenate(kept)
     basis = rref_mod_p(members, p)[0]
+    if not _ideal_is_nilpotent(alg, basis):
+        members = np.array(
+            [v for v in members if _ideal_is_nilpotent(alg, v)], dtype=np.int64
+        ).reshape(-1, r)
+        basis = rref_mod_p(members, p)[0]
     if len(members) != p ** basis.shape[0]:
         raise InternalCheckError(
             f"oracle kept {len(members)} elements, not the {p}^{basis.shape[0]} "

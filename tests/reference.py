@@ -4,10 +4,9 @@ the construction checks and relation facts of a color matrix, the degrees
 by row and column sums, direct-product tables, the center from every
 commutator row, nilpotency by plain squaring, the cell-module traces from
 the cell indicator matrix, the exhaustive radical with one ideal test per
-element, the nilpotent-ideal test by one three-operand einsum, the radical
-chain run through every step with every ordered pair and the radical of a
-commutative algebra as the kernel of its Frobenius map.  Also the corpus,
-built once for all test modules."""
+element, the nilpotent-ideal test by one three-operand einsum and the
+radical chain run through every step with every ordered pair.  Also the
+corpus, built once for all test modules."""
 
 from functools import lru_cache
 from types import SimpleNamespace
@@ -23,7 +22,7 @@ from cellalg.linalg import (
     regular_matrices,
     rref_mod_p,
 )
-from cellalg.radical import InternalCheckError, _frobenius_powers, _ideal_is_nilpotent
+from cellalg.radical import InternalCheckError, _ideal_is_nilpotent
 
 
 def multiply(x, y, c) -> list:
@@ -298,14 +297,6 @@ def radical_chain_all_steps(alg) -> np.ndarray:
     if basis.shape[0] and not _ideal_is_nilpotent(alg, basis):
         raise InternalCheckError(f"chain basis {basis.tolist()} is not nilpotent")
     return basis
-
-
-def radical_by_frobenius_kernel(alg) -> np.ndarray:
-    """Radical basis of a commutative algebra over F_p: its nilpotent
-    elements, the kernel of the F_p-linear map x -> x^e (e the least power of
-    p with e >= d), whose row k is A_k^e on the module."""
-    powers = _frobenius_powers(alg.mats, alg.p).reshape(alg.rank, -1)
-    return kernel_mod_p(powers.T, alg.p)
 
 
 @lru_cache(maxsize=1)

@@ -6,6 +6,7 @@ verification fixture; 1, 3 (frame checks aside) and the seed-stability half
 of 7 recompute from scratch.
 """
 
+import hashlib
 import time
 
 from cellalg.discriminant import (
@@ -127,3 +128,12 @@ def test_criterion_8_deterministic_reruns(corpus_reports):
     rerun, _ = verify_corpus()
     second = [to_json_line(rep) for rep in rerun]
     assert first == second
+
+
+def test_criterion_8_seed_0_report_bytes_are_pinned(corpus_reports):
+    # the default-options (seed 0) corpus report, byte for byte
+    text = "".join(map(to_json_line, corpus_reports[0])).encode()
+    assert len(text) == 103_081
+    assert hashlib.sha256(text).hexdigest() == (
+        "af8802256f6bc746d57a3948352860c470c75907531aff8b926729baf88236da"
+    )

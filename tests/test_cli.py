@@ -77,6 +77,21 @@ def test_frame_golden(capsys, tmp_path):
     assert (code, out) == (0, "blocks=[(1,1),(1,2)] F=9 N=1\n")
 
 
+def test_frame_rejects_a_negative_seed(capsys, tmp_path):
+    path = write_scheme(tmp_path, RANK2_3_FILE)
+    code, out, err = run(capsys, ["frame", path, "--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert "seed must be non-negative, not -1" in err
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_nonpositive_point_count_is_named(capsys, tmp_path, count):
+    path = write_scheme(tmp_path, f"{count}\n")
+    code, out, err = run(capsys, ["info", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: point count must be positive, not {count}\n"
+
+
 def test_radical_golden(capsys, tmp_path):
     path = write_scheme(tmp_path, RANK2_3_FILE)
     code, out, _ = run(capsys, ["radical", path, "--p", "3"])

@@ -22,7 +22,6 @@ from reference import (
     corpus,
     ideal_is_nilpotent_by_einsum,
     nilpotent_by_squaring,
-    radical_by_frobenius_kernel,
     radical_chain_all_steps,
     radical_oracle_by_ideals,
 )
@@ -48,6 +47,7 @@ from cellalg.generators import (
 from cellalg.linalg import (
     charpoly_mod_p,
     in_row_space_mod_p,
+    kernel_mod_p,
     prime_factors,
     primes_upto,
     regular_matrices,
@@ -61,7 +61,6 @@ from cellalg.radical import (
     _combinations,
     _frobenius_powers,
     _ideal_is_nilpotent,
-    _nilpotent_mask,
     _trace_conditions,
     central_nilpotent_witness,
     modular_algebra,
@@ -358,15 +357,16 @@ def _record_batches(monkeypatch):
 def test_cell_trace_leaves_exactly_the_nilpotent_elements_of_thin_z09(monkeypatch):
     # p = 3 divides the module dimension 9, so every element has module
     # trace 0, and the point trace of e_X x e_X is 9 x_0 = 0; the cell
-    # trace, the coefficient sum, leaves 3^8 of the 3^9 elements for the
-    # nilpotency test: the augmentation ideal, which is the radical of
-    # F_3[Z_9]
+    # trace, the coefficient sum, leaves an 8-dimensional kernel: the
+    # augmentation ideal, which is the radical of F_3[Z_9]; Z_9 is abelian,
+    # so the oracle takes the Frobenius kernel and enumerates nothing
     alg = modular_algebra(build_scheme("thin-z09"), 3)
     assert not (np.einsum("rii->r", alg.mats) % 3).any()
     assert alg.cell_traces.tolist() == [1] * 9
+    assert kernel_mod_p(_trace_conditions(alg), 3).shape[0] == 8
     batches = _record_batches(monkeypatch)
     assert radical_oracle(alg).dim == 8
-    assert sum(rows for rows, _ in batches) == 3**8
+    assert batches == []
 
 
 def test_chain_step_0_builds_no_module_matrix(monkeypatch):
@@ -399,9 +399,11 @@ def test_module_traces_are_the_traces_of_the_module_matrices():
 
 
 def test_oracle_batches_stay_within_the_entry_bound(monkeypatch):
-    # every oracle run of the corpus report
+    # every oracle run of the corpus report: the non-commutative ones
+    # enumerate in batches, the commutative ones take the Frobenius kernel
+    # and make none
     batches = _record_batches(monkeypatch)
-    checked = 0
+    enumerated = direct = 0
     for scheme_id, scheme in corpus():
         for p in harness.tested_primes(scheme):
             if p**scheme.rank > ORACLE_BUDGET:
@@ -409,11 +411,15 @@ def test_oracle_batches_stay_within_the_entry_bound(monkeypatch):
             alg = modular_algebra(scheme, p)
             start = len(batches)
             radical_oracle(alg)
+            if _is_commutative(scheme):
+                assert len(batches) == start, (scheme_id, p)
+                direct += 1
+                continue
             assert len(batches) > start, (scheme_id, p)
             entries = max(size for _, size in batches[start:])
             assert entries <= ORACLE_BATCH_ENTRIES, (scheme_id, p)
-            checked += 1
-    assert checked == 533
+            enumerated += 1
+    assert (enumerated, direct) == (43, 490)
 
 
 def test_small_oracle_batches_give_the_same_bases(monkeypatch):
@@ -431,6 +437,8 @@ def test_small_oracle_batches_give_the_same_bases(monkeypatch):
         start = len(batches)
         basis = radical_oracle(alg).basis
         assert np.array_equal(basis, expected[scheme_id, p]), (scheme_id, p)
+        if len(batches) == start:  # the commutative Frobenius kernel
+            continue
         entries = max(size for _, size in batches[start:])
         assert entries <= max(64, alg.d**2), (scheme_id, p)
         most_batches = max(most_batches, len(batches) - start)
@@ -439,7 +447,7 @@ def test_small_oracle_batches_give_the_same_bases(monkeypatch):
 
 
 def test_chain_radical_meets_the_trace_conditions():
-    # every (scheme, p) row of the corpus report: the oracle enumerates the
+    # every (scheme, p) row of the corpus report: the oracle works in the
     # kernel of these rows, so the radical must lie in it; the cell rows
     # are the point traces of e_X x e_X, here for one random x per row
     rng = np.random.default_rng(16)
@@ -499,9 +507,32 @@ def test_float64_combinations_are_exact_up_to_the_bound():
         _combinations(np.full((1, 2), q - 1), np.full((2, 1), q - 1), q)
 
 
+def test_frobenius_powers_are_exact_up_to_the_int64_bound():
+    # the commutative oracle has no budget, so p may be as large as
+    # ModularAlgebra allows; d (p - 1)^2 < 2^63 keeps every int64 sum exact.
+    # Here e = q, and the reference squares left to right in Python ints
+    rng = np.random.default_rng(18)
+    for d, q in [(2, 2**31 - 1), (4, 1518500213)]:  # the largest such q for d = 4
+        assert d * (q - 1) ** 2 < 1 << 63
+        mats = rng.integers(0, q, (3, d, d))
+        mats[0] = q - 1
+        expected = []
+        for x in mats.astype(object):
+            power = x
+            for bit in bin(q)[3:]:
+                power = power.dot(power) % q
+                if bit == "1":
+                    power = power.dot(x) % q
+            expected.append(power)
+        assert np.array_equal(_frobenius_powers(mats, q), np.array(expected)), d
+    with pytest.raises(InternalCheckError, match=r"2\^63"):
+        _frobenius_powers(np.ones((1, 4, 4), dtype=np.int64), 2**31 - 1)
+
+
 def test_frobenius_kernel_equals_the_chain_on_commutative_rows():
-    # every commutative row of the corpus report, those past the oracle
-    # budget among them, and thin Z_18, Z_20 and Z_30 at every tested prime
+    # the commutative oracle on every commutative row of the corpus report,
+    # those past the oracle budget among them, and thin Z_18, Z_20 and Z_30
+    # at every tested prime
     extra = [(f"thin-z{n}", thin_group_scheme(cyclic_table(n))) for n in (18, 20, 30)]
     checked = past = 0
     for scheme_id, scheme in list(corpus()) + extra:
@@ -510,18 +541,16 @@ def test_frobenius_kernel_equals_the_chain_on_commutative_rows():
         for p in harness.tested_primes(scheme):
             alg = modular_algebra(scheme, p)
             expected = radical_chain(alg).basis
-            assert np.array_equal(radical_by_frobenius_kernel(alg), expected), (
-                scheme_id,
-                p,
-            )
+            assert np.array_equal(radical_oracle(alg).basis, expected), (scheme_id, p)
             checked += 1
             past += p**scheme.rank > ORACLE_BUDGET
     assert (checked, past) == (720, 230)
 
 
 def test_oracle_at_the_budget_edge_holds_bounded_memory():
-    # thin Z_16 at p = 2 enumerates exactly ORACLE_BUDGET elements; built
-    # at once, their 16 x 16 int64 matrices alone would take 128 MiB
+    # thin Z_16 at p = 2 has exactly ORACLE_BUDGET elements; built at once,
+    # their 16 x 16 int64 matrices alone would take 128 MiB (Z_16 is
+    # abelian, so the oracle takes the Frobenius kernel and builds none)
     alg = modular_algebra(thin_group_scheme(cyclic_table(16)), 2)
     assert 2**alg.rank == ORACLE_BUDGET
     tracemalloc.start()
@@ -553,7 +582,7 @@ def test_nilpotent_mask_is_plain_squaring(d, p):
         + [_jordan_block(d, e) % p for e in (0, 1, p - 1)]
     )
     mats = np.concatenate([dense, hidden, special])
-    mask = _nilpotent_mask(mats, p)
+    mask = ~_frobenius_powers(mats, p).any(axis=(1, 2))
     assert np.array_equal(mask, nilpotent_by_squaring(mats, p))
     assert mask[200:250].all()
     assert mask[-5:].tolist() == [True, False, True, False, False]
@@ -716,6 +745,13 @@ def test_oracle_budget():
     assert radical_oracle(modular_algebra(build_scheme("discrete-2"), 13)).dim == 0
     with pytest.raises(BudgetExceeded, match="83521 exceeds budget 65536"):
         radical_oracle(modular_algebra(build_scheme("discrete-2"), 17))
+    # a commutative algebra takes the Frobenius kernel, with no budget:
+    # thin Z_12 at p = 3 has 3^12 > 2^16 elements
+    alg = modular_algebra(build_scheme("thin-z12"), 3)
+    assert 3**alg.rank > ORACLE_BUDGET
+    chain = radical_chain(alg)
+    assert chain.dim == 8
+    assert np.array_equal(radical_oracle(alg).basis, chain.basis)
 
 
 @pytest.mark.parametrize(
