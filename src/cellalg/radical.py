@@ -36,9 +36,10 @@ Two independent routes:
   is the oracle's one nilpotency test.  In a commutative algebra the
   radical is exactly the set of nilpotent elements, and x -> x^e is
   F_p-linear, so the radical is the kernel of one linear map: the e-th
-  powers of a basis of the kernel of the conditions, with no enumeration
-  and no budget.  Otherwise the oracle enumerates that kernel (at most
-  ORACLE_BUDGET elements): every F_p-combination of its basis, counted in
+  powers of a basis of the kernel of the conditions, with no enumeration;
+  its only bound is r (p - 1)^2 < 2^63, which keeps its int64 sums exact.
+  Otherwise the oracle enumerates that kernel (at most ORACLE_BUDGET
+  elements): every F_p-combination of its basis, counted in
   base p, in batches of at most ORACLE_BATCH_ENTRIES / d^2.  Each batch's
   module matrices are one product of its coefficients with the basis's
   matrices, in float64, exact because their entries are residues below p
@@ -46,9 +47,9 @@ Two independent routes:
   p^r <= ORACLE_BUDGET.  A candidate x survives when x and every x A_j
   are nilpotent; the survivors are reduced once, and one span-power test
   on the ideal of that basis accepts them together, with one test per
-  survivor only if it fails.  Exponential and only for cross-checking the
-  chain on small instances; it never uses the chain or the trace-form
-  kernel as a subspace.
+  survivor only if it fails.  The enumeration is exponential and only for
+  cross-checking the chain on small non-commutative instances.  The oracle
+  never uses the chain or the trace-form kernel as a subspace.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
 routes are comparable array-for-array.  The prime must be below 2^31, so
@@ -85,7 +86,8 @@ ORACLE_BATCH_ENTRIES = 1 << 18
 
 
 class BudgetExceeded(ValueError):
-    """Oracle enumeration would be larger than the allowed budget."""
+    """Oracle input past its bounds: an enumeration larger than
+    ORACLE_BUDGET, or a prime too large for its exact int64 sums."""
 
 
 @dataclass(frozen=True)
@@ -213,9 +215,9 @@ def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
     """x^e for each matrix x of a (k, d, d) stack over F_p, where e is the
     least power of p with e >= d; so x^e = 0 exactly when x is nilpotent.
     In a commutative algebra over F_p, x -> x^e is F_p-linear, so the powers
-    of a basis give every element's.  Square-and-multiply starts from x
-    itself, not from an identity stack.  The products run in int64, exact
-    while d (p - 1)^2 < 2^63."""
+    of a basis give every element's.  Square-and-multiply runs over the
+    bits of e from the top, starting from x itself, not from an identity
+    stack.  The products run in int64, exact while d (p - 1)^2 < 2^63."""
     d = mats.shape[-1]
     if d * (p - 1) ** 2 >= 1 << 63:
         raise InternalCheckError(
@@ -224,21 +226,13 @@ def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
     e = 1
     while e < d:
         e *= p
-    base = mats % p
-    # e is a power of p: for p = 2 all squarings, for odd p e is odd
-    while not e & 1:
-        base = base @ base
-        base %= p
-        e >>= 1
-    power = base
-    e >>= 1
-    while e:
-        base = base @ base
-        base %= p
-        if e & 1:
-            power = power @ base
+    x = power = mats % p
+    for bit in bin(e)[3:]:
+        power = power @ power
+        power %= p
+        if bit == "1":
+            power = power @ x
             power %= p
-        e >>= 1
     return power
 
 
@@ -260,13 +254,19 @@ def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
 
 def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     """Radical by nilpotency alone, within the kernel of the trace
-    conditions: on a commutative algebra the kernel of x -> x^e, otherwise
-    every element of the kernel, at most ORACLE_BUDGET of them, keeping
-    generators of nilpotent ideals, as the module docstring says.  The
-    enumeration checks that the kept set is a subspace."""
+    conditions: on a commutative algebra the kernel of x -> x^e, while
+    r (p - 1)^2 < 2^63, otherwise every element of the kernel, at most
+    ORACLE_BUDGET of them, keeping generators of nilpotent ideals, as the
+    module docstring says.  The enumeration checks that the kept set is a
+    subspace."""
     p, r, d = alg.p, alg.rank, alg.d
     commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
     count = p**r
+    if commutative and r * (p - 1) ** 2 >= 1 << 63:
+        # d and the trace-kernel dimension are at most r
+        raise BudgetExceeded(
+            f"{r} products of residues mod {p} can pass 2^63, where int64 sums wrap"
+        )
     if not commutative and count > ORACLE_BUDGET:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
     kernel = kernel_mod_p(_trace_conditions(alg), p)

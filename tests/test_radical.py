@@ -508,9 +508,9 @@ def test_float64_combinations_are_exact_up_to_the_bound():
 
 
 def test_frobenius_powers_are_exact_up_to_the_int64_bound():
-    # the commutative oracle has no budget, so p may be as large as
-    # ModularAlgebra allows; d (p - 1)^2 < 2^63 keeps every int64 sum exact.
-    # Here e = q, and the reference squares left to right in Python ints
+    # the commutative oracle has no enumeration budget, so p may be near
+    # 2^31; d (p - 1)^2 < 2^63 keeps every int64 sum exact.  Here e = q, and
+    # the reference squares left to right in Python ints
     rng = np.random.default_rng(18)
     for d, q in [(2, 2**31 - 1), (4, 1518500213)]:  # the largest such q for d = 4
         assert d * (q - 1) ** 2 < 1 << 63
@@ -548,19 +548,22 @@ def test_frobenius_kernel_equals_the_chain_on_commutative_rows():
 
 
 def test_oracle_at_the_budget_edge_holds_bounded_memory():
-    # thin Z_16 at p = 2 has exactly ORACLE_BUDGET elements; built at once,
-    # their 16 x 16 int64 matrices alone would take 128 MiB (Z_16 is
-    # abelian, so the oracle takes the Frobenius kernel and builds none)
-    alg = modular_algebra(thin_group_scheme(cyclic_table(16)), 2)
-    assert 2**alg.rank == ORACLE_BUDGET
-    tracemalloc.start()
-    try:
-        oracle = radical_oracle(alg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(oracle.basis, radical_chain(alg).basis)
-    assert peak < 32 << 20
+    # thin Z_16 and thin D_8 (order 16) at p = 2 have exactly ORACLE_BUDGET
+    # elements; built at once, their 16 x 16 int64 matrices alone would take
+    # 128 MiB.  Z_16 is abelian, so the oracle takes the Frobenius kernel;
+    # D_8 is not, and the oracle enumerates the 2^15 elements of its trace
+    # kernel in batches
+    for table in (cyclic_table(16), dihedral_table(8)):
+        alg = modular_algebra(thin_group_scheme(table), 2)
+        assert 2**alg.rank == ORACLE_BUDGET
+        tracemalloc.start()
+        try:
+            oracle = radical_oracle(alg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(oracle.basis, radical_chain(alg).basis)
+        assert peak < 32 << 20
 
 
 def _jordan_block(d, eigenvalue):
@@ -745,13 +748,17 @@ def test_oracle_budget():
     assert radical_oracle(modular_algebra(build_scheme("discrete-2"), 13)).dim == 0
     with pytest.raises(BudgetExceeded, match="83521 exceeds budget 65536"):
         radical_oracle(modular_algebra(build_scheme("discrete-2"), 17))
-    # a commutative algebra takes the Frobenius kernel, with no budget:
-    # thin Z_12 at p = 3 has 3^12 > 2^16 elements
+    # a commutative algebra takes the Frobenius kernel, with no enumeration
+    # budget: thin Z_12 at p = 3 has 3^12 > 2^16 elements
     alg = modular_algebra(build_scheme("thin-z12"), 3)
     assert 3**alg.rank > ORACLE_BUDGET
     chain = radical_chain(alg)
     assert chain.dim == 8
     assert np.array_equal(radical_oracle(alg).basis, chain.basis)
+    # no enumeration, but int64 sums: thin Z_3 at 2^31 - 1 has 3 (p - 1)^2
+    # >= 2^63
+    with pytest.raises(BudgetExceeded, match=r"2\^63"):
+        radical_oracle(modular_algebra(build_scheme("thin-z03"), 2**31 - 1))
 
 
 @pytest.mark.parametrize(
