@@ -88,14 +88,18 @@ def kernel_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(mat, dtype=np.int64)
     ncols = a.shape[1]
     reduced, pivots = rref_mod_p(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for j, pc in enumerate(pivots):
-            basis[k, pc] = (-reduced[j, fc]) % p
+    basis = np.zeros((ncols - len(pivots), ncols), dtype=np.int64)
+    if basis.shape[0] == 0:
+        return basis
+    free = np.ones(ncols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    # row k: 1 in the k-th free column, the negated column of reduced at the
+    # pivots
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -reduced[:, free].T % p
     # normalize to a canonical subspace representative
-    return rref_mod_p(basis, p)[0] if len(free) else basis
+    return rref_mod_p(basis, p)[0]
 
 
 def in_row_space_mod_p(vec: np.ndarray, rref_rows: np.ndarray, p: int) -> bool:

@@ -13,14 +13,20 @@ Two independent routes:
   charpoly(x y) vanishing for all y in the current basis.  Step 0 is the
   trace-form kernel: that coefficient is -tr(x y), and tr(A_a A_b) =
   sum_k c_abk chi(A_k) for the module's character chi, so no module
-  matrix, product or charpoly is built.  Later steps read the coefficient
-  from a characteristic polynomial truncated after its first p^i + 1
-  terms.  Since charpoly(x y) = charpoly(y x), the coefficient matrix is
-  symmetric and one product per unordered pair {x, y} fills it.  Over the
-  prime field each step is a linear system because the Frobenius fixes
-  F_p, and after floor(log_p d)+1 steps the chain stabilizes at the
-  radical.  Every subspace of the chain contains the radical (for x in it
-  every x y is nilpotent), so once the two-sided ideal generated by a
+  matrix, product or charpoly is built.  Later steps take the coefficient
+  vectors of the products x y from the structure constants, one product
+  per unordered pair {x, y}, since charpoly(x y) = charpoly(y x) makes the
+  coefficient matrix symmetric.  Equal products are merged, and each
+  distinct one gets one module matrix and one characteristic polynomial
+  truncated after its first p^i + 1 terms; on its basis of group elements
+  a group algebra has r distinct products, not r (r + 1) / 2.  All these
+  products run in float64 (_combinations), exact while r (p - 1)^2 < 2^53,
+  which that function checks; since such a step has p <= d <= n and
+  r <= n^2, this holds for n < 2^13.  Over the prime field each step is a
+  linear system because the Frobenius fixes F_p, and after
+  floor(log_p d)+1 steps the chain stabilizes at the radical.  Every
+  subspace of the chain contains the radical (for x in it every x y is
+  nilpotent), so once the two-sided ideal generated by a
   subspace is nilpotent, that subspace is the radical.  That test runs
   after each step that shrinks the basis, and the chain stops at the
   first subspace that passes; one that ends without passing raises.
@@ -164,6 +170,52 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vecs: np.ndarray) -> bool:
         span = nxt
 
 
+def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
+    """Row b: sum_i coeffs[b, i] stack[i] mod p, for residues below p, as
+    one float64 GEMM; the float64 residues it returns are exact while
+    k (p - 1)^2 < 2^53 for the inner dimension k, since then every partial
+    sum is an integer below 2^53."""
+    k = coeffs.shape[1]
+    if k * (p - 1) ** 2 >= 1 << 53:
+        raise InternalCheckError(
+            f"{k} products of residues mod {p} can pass 2^53, where float64 "
+            "sums stop being exact"
+        )
+    out = coeffs.astype(np.float64) @ stack.astype(np.float64)
+    np.fmod(out, p, out=out)
+    return out
+
+
+def _product_coefficients(alg: ModularAlgebra, basis: np.ndarray, power: int) -> np.ndarray:
+    """(k, k) matrix whose entry (x, y) is the coefficient of
+    t^(d - power) in charpoly(x y), for the rows x, y of a (k, rank) basis.
+    The coefficient vectors of the products come from the structure
+    constants; since charpoly(x y) = charpoly(y x), one product per
+    unordered pair is kept, and the module matrix and truncated charpoly
+    are formed once per distinct product."""
+    p, r, d = alg.p, alg.rank, alg.d
+    k = basis.shape[0]
+    # left[x, b, s]: coefficient of A_s in x A_b
+    left = _combinations(basis, alg.c.reshape(r, r * r), p).reshape(k, r, r)
+    # prods[y, x, s]: coefficient of A_s in x y
+    prods = _combinations(basis, left.transpose(1, 0, 2).reshape(r, k * r), p)
+    rows, cols = np.triu_indices(k)
+    vecs = prods.reshape(k, k, r)[cols, rows]
+    # sorted, equal vectors are adjacent; inverse maps each pair to its
+    # distinct product
+    order = np.lexsort(vecs.T)
+    ordered = vecs[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    mats = _combinations(ordered[first], alg.mats.reshape(r, d * d), p).reshape(-1, d, d)
+    upper = charpoly_mod_p(mats, p, power)[:, power][inverse]
+    coeff = np.empty((k, k), dtype=np.int64)
+    coeff[rows, cols] = coeff[cols, rows] = upper
+    return coeff
+
+
 def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     """Radical via the characteristic-coefficient chain.  Stops at the first
     subspace whose generated ideal is nilpotent; a chain that ends on
@@ -180,14 +232,7 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
             # basis is the identity: x y runs over the products A_a A_b
             coeff = -(alg.c @ alg.traces) % p
         else:
-            mats = alg.element_matrices(basis)
-            rows, cols = np.triu_indices(d)
-            prods = mats[rows] @ mats[cols]
-            prods %= p
-            # charpoly(x y) = charpoly(y x): one product per unordered pair
-            upper = charpoly_mod_p(prods, p, p**i)[:, p**i]
-            coeff = np.empty((d, d), dtype=np.int64)
-            coeff[rows, cols] = coeff[cols, rows] = upper
+            coeff = _product_coefficients(alg, basis, p**i)
         # solve for x: the coefficient vanishes against every y
         combos = kernel_mod_p(coeff.T, p)
         basis = rref_mod_p((combos @ basis) % p, p)[0]
@@ -234,22 +279,6 @@ def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
             power = power @ x
             power %= p
     return power
-
-
-def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
-    """Row b: sum_i coeffs[b, i] stack[i] mod p, for residues below p, as
-    one float64 GEMM; the float64 residues it returns are exact while
-    k (p - 1)^2 < 2^53 for the inner dimension k, since then every partial
-    sum is an integer below 2^53."""
-    k = coeffs.shape[1]
-    if k * (p - 1) ** 2 >= 1 << 53:
-        raise InternalCheckError(
-            f"{k} products of residues mod {p} can pass 2^53, where float64 "
-            "sums stop being exact"
-        )
-    out = coeffs.astype(np.float64) @ stack.astype(np.float64)
-    np.fmod(out, p, out=out)
-    return out
 
 
 def radical_oracle(alg: ModularAlgebra) -> RadicalResult:

@@ -201,11 +201,15 @@ def verify_regularity(scheme: Scheme) -> np.ndarray:
     For each pair of relations (i, j), the number of midpoints v with
     (u,v) in R_i and (v,w) in R_j must depend only on the relation of (u,w).
     Raises SchemeError with a witness triple and two differing pairs
-    otherwise.
+    otherwise.  The counts are float32 products of the 0/1 adjacency
+    matrices, which BLAS runs; every count is at most n, so they are exact
+    for n < 2^24, where every partial sum is an integer that float32 holds.
     """
     r = scheme.rank
     n = scheme.size
-    adj = scheme.adjacency
+    if n >= 1 << 24:
+        raise InternalCheckError(f"{n} points: float32 counts are exact only below 2^24")
+    adj = scheme.adjacency.astype(np.float32)
     flat_colors = scheme.colors.ravel()
     first = scheme.first_pair
     c = np.zeros((r, r, r), dtype=np.int64)

@@ -191,21 +191,28 @@ def test_chain_matches_oracle(scheme_id, p):
 
 def _benchmark_schemes():
     """Corpus, then the large-n and high-rank schemes in their seed-0
-    labelling."""
+    labelling, then those schemes again with their points relabelled by one
+    permutation each, drawn from a fixed seed."""
     yield from corpus()
-    yield from [
+    extra = [
         ("rank2-96", rank2(96)), ("hamming-3-3", hamming(3, 3)),
         ("johnson-7-3", johnson(7, 3)),
         ("thin-s4", thin_group_scheme(symmetric_table(4))),
         ("discrete-6", discrete(6)),
     ]
-    for n in (18, 20, 30):
-        yield f"thin-z{n}", thin_group_scheme(cyclic_table(n))
+    extra += [(f"thin-z{n}", thin_group_scheme(cyclic_table(n))) for n in (18, 20, 30)]
+    yield from extra
+    rng = np.random.default_rng(20)
+    for scheme_id, scheme in extra:
+        perm = rng.permutation(scheme.size)
+        yield f"{scheme_id}-relabelled", from_color_matrix(scheme.colors[np.ix_(perm, perm)])
 
 
 def test_chain_equals_the_all_steps_chain():
-    # stopping at the first nilpotent subspace and forming one product per
-    # unordered pair leave the basis as it was
+    # stopping at the first nilpotent subspace, reading the products from
+    # the structure constants and taking one charpoly per distinct product
+    # leave the basis as it was; the reference forms the module-matrix
+    # product of every ordered pair
     checked = 0
     for scheme_id, scheme in _benchmark_schemes():
         for p in harness.tested_primes(scheme):
@@ -213,23 +220,34 @@ def test_chain_equals_the_all_steps_chain():
             expected = radical_chain_all_steps(alg)
             assert np.array_equal(radical_chain(alg).basis, expected), (scheme_id, p)
             checked += 1
-    assert checked == 1050
+    assert checked == 1170
 
 
-@pytest.mark.parametrize("p,dim", [(2, 15), (5, 24)])
-def test_chain_stops_at_the_first_nilpotent_subspace(monkeypatch, p, dim):
+@pytest.mark.parametrize(
+    "table,p,dim,batches",
+    [
+        pytest.param(cyclic_table(30), 2, 15, [(2, 30)], id="2-15"),
+        pytest.param(cyclic_table(30), 5, 24, [(5, 30)], id="5-24"),
+        pytest.param(symmetric_table(4), 2, 19, [(2, 24), (4, 24), (8, 24)], id="s4-2-19"),
+    ],
+)
+def test_chain_stops_at_the_first_nilpotent_subspace(monkeypatch, table, p, dim, batches):
     # thin Z_30 at p = 2 has 4 charpoly steps and at p = 5 has 2; the basis
-    # after the first of them already generates a nilpotent ideal
+    # after the first of them already generates a nilpotent ideal.  Thin S_4
+    # at p = 2 stops after 3 of its 4.  The products of group elements are
+    # the |G| group elements, so the first step takes |G| charpolys, not one
+    # per unordered pair (465 for Z_30); thin S_4's later bases have 24
+    # distinct products too
     seen = []
 
     def counting(mats, q, terms):
-        seen.append(terms)
+        seen.append((terms, len(mats)))
         return charpoly_mod_p(mats, q, terms)
 
     monkeypatch.setattr(radical, "charpoly_mod_p", counting)
-    alg = modular_algebra(thin_group_scheme(cyclic_table(30)), p)
+    alg = modular_algebra(thin_group_scheme(table), p)
     assert radical_chain(alg).dim == dim
-    assert seen == [p]
+    assert seen == batches
 
 
 def test_module_is_the_smaller_faithful_one():
@@ -307,6 +325,28 @@ def test_oracle_per_survivor_fallback_matches_chain(monkeypatch):
         assert np.array_equal(oracle.basis, chain.basis), (scheme_id, p)
         checked += 1
     assert checked >= 43
+
+
+def test_noncommutative_oracle_runs_one_span_power_test(monkeypatch):
+    # the x A_j nilpotency tests leave only radical elements, so the one
+    # span-power test on the survivors passes and no run reaches the
+    # per-survivor fallback
+    calls = []
+
+    def counting(alg, vecs):
+        calls.append(vecs.ndim)
+        return _ideal_is_nilpotent(alg, vecs)
+
+    monkeypatch.setattr(radical, "_ideal_is_nilpotent", counting)
+    checked = 0
+    for scheme_id, scheme, p in _corpus_cases(ORACLE_BUDGET):
+        if _is_commutative(scheme):
+            continue
+        calls.clear()
+        radical_oracle(modular_algebra(scheme, p))
+        assert calls == [2], (scheme_id, p)
+        checked += 1
+    assert checked == 43
 
 
 def test_cell_traces_equal_the_indicator_reference_on_corpus():

@@ -8,7 +8,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cellalg.generators import build_scheme, schurian
+from cellalg.generators import (
+    build_scheme,
+    cyclic_table,
+    hamming,
+    johnson,
+    rank2,
+    schurian,
+    symmetric_table,
+    thin_group_scheme,
+)
 from cellalg.scheme import (
     InternalCheckError,
     Scheme,
@@ -83,6 +92,26 @@ def test_regularity_matches_the_loop_version_on_the_corpus():
         expected, failure = regularity_by_loops(s)
         assert failure is None, scheme_id
         assert np.array_equal(verify_regularity(s), expected), scheme_id
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rank2(96),
+        lambda: hamming(3, 3),
+        lambda: johnson(7, 3),
+        lambda: thin_group_scheme(symmetric_table(4)),
+        lambda: thin_group_scheme(cyclic_table(30)),
+    ],
+    ids=["rank2-96", "hamming-3-3", "johnson-7-3", "thin-s4", "thin-z30"],
+)
+def test_regularity_matches_the_loop_version_on_the_largest_counts(make):
+    # the benchmark schemes past the corpus: the largest n and rank, where
+    # the float32 counts reach their largest values
+    s = make()
+    expected, failure = regularity_by_loops(s)
+    assert failure is None
+    assert np.array_equal(verify_regularity(s), expected)
 
 
 def test_regularity_witness_matches_the_loop_version():
