@@ -116,29 +116,38 @@ def in_row_space_mod_p(vec: np.ndarray, rref_rows: np.ndarray, p: int) -> bool:
 # elimination over Q
 
 def rref_rational(mat) -> tuple[list[list[Fraction]], list[int]]:
-    """Exact RREF over Q with first-nonzero pivoting; drops zero rows."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    if not a:
-        return [], []
-    ncols = len(a[0])
+    """Exact RREF over Q with first-nonzero pivoting; drops zero rows.
+
+    Fraction-free: rows are scaled to integers, then Gauss-Jordan runs in
+    Bareiss form, each update dividing exactly by the previous pivot.  A
+    pivot row is negated to make its pivot positive, so a row with a zero
+    in the pivot column stays as it is while the pivot repeats; rows that
+    vanish are dropped.  Every pivot row ends with the last pivot D at its
+    pivot, and one division by D per entry gives the RREF."""
+    a = []
+    for row in mat:
+        fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        a.append([f.numerator * (scale // f.denominator) for f in fracs])
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row == len(a):
-            break
-        j = next((i for i in range(row, len(a)) if a[i][col]), None)
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        k = len(pivots)
+        j = next((i for i in range(k, len(a)) if a[i][col]), None)
         if j is None:
             continue
-        a[row], a[j] = a[j], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(len(a)):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        # the stale a[k] is left out of rest; top goes back in at k
+        top, a[j] = a[j], a[k]
+        if top[col] < 0:
+            top = [-x for x in top]
+        piv = top[col]
+        rest = ([(piv * x - row[col] * y) // prev for x, y in zip(row, top)]
+                if row[col] or piv != prev else row for row in a[:k] + a[k + 1:])
+        a = [row for i, row in enumerate(rest) if i < k or any(row)]
+        a.insert(k, top)
+        prev = piv
         pivots.append(col)
-        row += 1
-    return a[: len(pivots)], pivots
+    return [[Fraction(x, prev) for x in row] for row in a[: len(pivots)]], pivots
 
 
 def kernel_rational(mat) -> list[list[Fraction]]:

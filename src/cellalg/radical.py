@@ -12,8 +12,11 @@ Two independent routes:
   faithful module).  Step i keeps x with the coefficient of t^(d - p^i) of
   charpoly(x y) vanishing for all y in the current basis.  Step 0 is the
   trace-form kernel: that coefficient is -tr(x y), and tr(A_a A_b) =
-  sum_k c_abk chi(A_k) for the module's character chi, so no module
-  matrix, product or charpoly is built.  Later steps take the coefficient
+  sum_k c_abk chi(A_k) for the module's character chi: the kernel of the
+  Gram matrix G = c chi mod p, built with no module matrix.  It is zero
+  exactly when p misses the integer det G, +-prod |R| on the point module
+  and det G_reg, taken once per scheme, on the left-regular one; then the
+  chain returns the zero radical at once.  Later steps take the coefficient
   vectors of the products x y from the structure constants, one product
   per unordered pair {x, y}, since charpoly(x y) = charpoly(y x) makes the
   coefficient matrix symmetric.  Equal products are merged, and each
@@ -38,20 +41,21 @@ Two independent routes:
   is a two-sided ideal; its point trace is x_k |X| for the diagonal
   relation k of X.  The cell conditions prune where the module trace
   cannot, when p divides the module dimension.  A matrix x is nilpotent
-  exactly when x^e = 0, for e the least power of p with e >= d, and that
-  is the oracle's one nilpotency test.  In a commutative algebra the
-  radical is exactly the set of nilpotent elements, and x -> x^e is
-  F_p-linear, so the radical is the kernel of one linear map: the e-th
-  powers of a basis of the kernel of the conditions, with no enumeration;
-  its only bound is r (p - 1)^2 < 2^63, which keeps its int64 sums exact.
-  Otherwise the oracle enumerates that kernel (at most ORACLE_BUDGET
+  exactly when x^e = 0 for any e >= d, and that is the oracle's one
+  nilpotency test.  In a commutative algebra the radical is exactly the
+  set of nilpotent elements, and for e the least power of p with e >= d,
+  x -> x^e is F_p-linear, so the radical is the kernel of one linear map:
+  the e-th powers of a basis of the kernel of the conditions, with no
+  enumeration; its only bound is r (p - 1)^2 < 2^63, which keeps its int64
+  sums exact.  Otherwise the oracle enumerates that kernel (at most ORACLE_BUDGET
   elements): every F_p-combination of its basis, counted in
   base p, in batches of at most ORACLE_BATCH_ENTRIES / d^2.  Each batch's
   module matrices are one product of its coefficients with the basis's
   matrices, in float64, exact because their entries are residues below p
   and the k <= r products summed per entry stay below 2^53 when
   p^r <= ORACLE_BUDGET.  A candidate x survives when x and every x A_j
-  are nilpotent; the survivors are reduced once, and one span-power test
+  are nilpotent, tested with e the least power of 2, by squarings alone;
+  the survivors are reduced once, and one span-power test
   on the ideal of that basis accepts them together, with one test per
   survivor only if it fails.  The enumeration is exponential and only for
   cross-checking the chain on small non-commutative instances.  The oracle
@@ -73,6 +77,7 @@ from math import prod
 
 import numpy as np
 
+from .discriminant import product_relation_sizes
 from .linalg import (
     charpoly_mod_p,
     is_prime,
@@ -107,7 +112,10 @@ class ModularAlgebra:
     acting on the smaller faithful module (of dimension d = min(n, rank);
     left-regular only when strictly smaller), that module's character
     traces, the point-module character point_traces and the cell character
-    cell_traces, reduced from the scheme's characters."""
+    cell_traces, reduced from the scheme's characters, and gram_det, the
+    integer det (up to sign) of the module's trace form c @ chi.  The 0/1
+    adjacency matrices, and the tensor once p exceeds its entries, are the
+    scheme's read-only arrays: reduction would not change them."""
 
     def __init__(self, scheme: Scheme, p: int):
         # before is_prime, whose trial division runs for minutes on huge p
@@ -117,14 +125,17 @@ class ModularAlgebra:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.rank = scheme.rank
-        self.c = scheme.tensor % p
+        c = scheme.tensor
+        self.c = c if p > c.max() else c % p
         standard, regular, cell = scheme.characters
         if self.rank < scheme.size:
-            self.mats = regular_matrices(self.c)[0] % p
+            self.mats = regular_matrices(self.c)[0]
             self.traces = regular % p
+            self.gram_det = scheme.regular_gram_det
         else:
-            self.mats = scheme.adjacency % p
+            self.mats = scheme.adjacency
             self.traces = standard % p
+            self.gram_det = product_relation_sizes(scheme)
         self.d = self.mats.shape[1]
         self.point_traces = standard % p
         self.cell_traces = cell % p
@@ -221,6 +232,10 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     subspace whose generated ideal is nilpotent; a chain that ends on
     another subspace raises."""
     p, dim = alg.p, alg.d
+    if alg.gram_det % p:
+        # step 0 keeps the kernel of the trace form's Gram matrix G mod p,
+        # which is zero exactly when p misses det G
+        return RadicalResult(dim=0, basis=np.zeros((0, alg.rank), dtype=np.int64))
     steps = 1
     while p**steps <= dim:
         steps += 1
@@ -256,13 +271,14 @@ def _trace_conditions(alg: ModularAlgebra) -> np.ndarray:
     return np.vstack([alg.traces, alg.cell_traces, np.diag(alg.point_traces)])
 
 
-def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
+def _frobenius_powers(mats: np.ndarray, p: int, base: int) -> np.ndarray:
     """x^e for each matrix x of a (k, d, d) stack over F_p, where e is the
-    least power of p with e >= d; so x^e = 0 exactly when x is nilpotent.
-    In a commutative algebra over F_p, x -> x^e is F_p-linear, so the powers
-    of a basis give every element's.  Square-and-multiply runs over the
-    bits of e from the top, starting from x itself, not from an identity
-    stack.  The products run in int64, exact while d (p - 1)^2 < 2^63."""
+    least power of base with e >= d; so x^e = 0 exactly when x is
+    nilpotent.  With base p, in a commutative algebra over F_p, x -> x^e is
+    F_p-linear, so the powers of a basis give every element's; base 2
+    takes squarings alone.  Square-and-multiply runs over the bits of e
+    from the top, starting from x itself, not from an identity stack.  The
+    products run in int64, exact while d (p - 1)^2 < 2^63."""
     d = mats.shape[-1]
     if d * (p - 1) ** 2 >= 1 << 63:
         raise InternalCheckError(
@@ -270,7 +286,7 @@ def _frobenius_powers(mats: np.ndarray, p: int) -> np.ndarray:
         )
     e = 1
     while e < d:
-        e *= p
+        e *= base
     x = power = mats % p
     for bit in bin(e)[3:]:
         power = power @ power
@@ -305,7 +321,7 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     if commutative:
         # row i: the e-th power of kernel row i; the radical is the kernel
         # of this linear map
-        powers = _frobenius_powers(span, p).reshape(k, d * d)
+        powers = _frobenius_powers(span, p, p).reshape(k, d * d)
         basis = rref_mod_p(kernel_mod_p(powers.T, p) @ kernel % p, p)[0]
         return RadicalResult(dim=basis.shape[0], basis=basis)
     span = span.reshape(k, d * d)
@@ -316,10 +332,10 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     for start in range(0, p**k, step):
         combos = np.arange(start, min(start + step, p**k))[:, None] // place % p
         mats = _combinations(combos, span, p).astype(np.int64).reshape(-1, d, d)
-        keep = ~_frobenius_powers(mats, p).any(axis=(1, 2))
+        keep = ~_frobenius_powers(mats, p, 2).any(axis=(1, 2))
         for j in range(r):
             sel = np.flatnonzero(keep)
-            sub = _frobenius_powers(mats[sel] @ alg.mats[j], p)
+            sub = _frobenius_powers(mats[sel] @ alg.mats[j], p, 2)
             keep[sel[sub.any(axis=(1, 2))]] = False
         kept.append(combos[keep] @ kernel % p)
     members = np.concatenate(kept)

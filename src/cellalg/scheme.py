@@ -120,6 +120,13 @@ class Scheme:
             a.flags.writeable = False
         return chars
 
+    @cached_property
+    def regular_gram_det(self) -> int:
+        """det of the regular trace form's Gram matrix tensor @ chi_reg."""
+        from .linalg import det_fraction_free
+
+        return det_fraction_free(self.tensor @ self.characters[1])
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Scheme) and np.array_equal(self.colors, other.colors)
 

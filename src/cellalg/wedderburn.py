@@ -27,13 +27,8 @@ from math import prod
 
 import numpy as np
 
-from .discriminant import product_cell_sizes, product_relation_sizes, regular_character
-from .linalg import (
-    det_fraction_free,
-    kernel_rational,
-    primitive_integer_vector,
-    regular_matrices,
-)
+from .discriminant import product_cell_sizes, product_relation_sizes
+from .linalg import kernel_rational, primitive_integer_vector, regular_matrices
 from .scheme import Scheme
 
 # eigenvalue gap, singular-value cut and eigenspace residual bound
@@ -96,9 +91,10 @@ def center_basis(scheme: Scheme) -> list[list[int]]:
 
 def regular_discriminant(scheme: Scheme) -> int:
     """|det G_reg| of the regular trace form, exactly: G_reg[i][j] =
-    sum_k c_ijk tr(L_k), with tr(L_k) the regular character."""
-    c = scheme.tensor
-    return abs(det_fraction_free(c @ regular_character(c)))
+    sum_k c_ijk tr(L_k), with tr(L_k) the regular character.  The
+    determinant is Scheme.regular_gram_det, taken once per scheme; the
+    radical chain reads it too."""
+    return abs(scheme.regular_gram_det)
 
 
 def check_blocks(scheme: Scheme, wd: WedderburnData, det_reg: int) -> str | None:

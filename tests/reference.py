@@ -2,17 +2,24 @@
 structure-constant products, group-axiom checks, the regularity check,
 the construction checks and relation facts of a color matrix, the degrees
 by row and column sums, direct-product tables, the center from every
-commutator row, nilpotency by plain squaring, the cell-module traces from
+commutator row, the RREF, kernel and center by elimination on Fractions,
+nilpotency by plain squaring, the cell-module traces from
 the cell indicator matrix, the exhaustive radical with one ideal test per
 element, the nilpotent-ideal test by one three-operand einsum and the
 radical chain run through every step with every ordered pair.  Also the
-corpus, built once for all test modules."""
+corpus, built once for all test modules, and the benchmark's workload
+schemes as its own builder makes them."""
 
+import importlib.util
+import sys
+from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
+import cellalg
 from cellalg.generators import build_scheme, corpus_ids
 from cellalg.linalg import (
     charpoly_mod_p,
@@ -187,6 +194,62 @@ def center_by_all_rows(scheme) -> list[list[int]]:
     return [primitive_integer_vector(v) for v in kernel]
 
 
+def rref_by_fractions(mat) -> tuple[list[list[Fraction]], list[int]]:
+    """Exact RREF over Q with first-nonzero pivoting, each pivot row scaled
+    by the inverse of its pivot and subtracted from every other row, all on
+    Fractions; drops zero rows."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    if not a:
+        return [], []
+    ncols = len(a[0])
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row == len(a):
+            break
+        j = next((i for i in range(row, len(a)) if a[i][col]), None)
+        if j is None:
+            continue
+        a[row], a[j] = a[j], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+    return a[: len(pivots)], pivots
+
+
+def kernel_by_fractions(mat) -> list[list[Fraction]]:
+    """RREF basis of the rational right null space, from rref_by_fractions:
+    one vector per free column, then reduced."""
+    rows = [list(r) for r in mat]
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    reduced, pivots = rref_by_fractions(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for j, pc in enumerate(pivots):
+            v[pc] = -reduced[j][fc]
+        basis.append(v)
+    return rref_by_fractions(basis)[0] if basis else []
+
+
+def center_by_fractions(scheme) -> list[list[int]]:
+    """Center basis from kernel_by_fractions of the distinct nonzero
+    commutator rows."""
+    left, right = regular_matrices(scheme.tensor)
+    rows = {tuple(v) for v in (left - right).reshape(-1, scheme.rank).tolist() if any(v)}
+    if not rows:
+        return np.eye(scheme.rank, dtype=np.int64).tolist()
+    return [primitive_integer_vector(v) for v in kernel_by_fractions(sorted(rows))]
+
+
 def nilpotent_by_squaring(mats, p) -> np.ndarray:
     """Mask of the nilpotent matrices of a (b, d, d) stack over F_p: the
     power x^(2^k) with 2^k >= d is zero."""
@@ -303,3 +366,19 @@ def radical_chain_all_steps(alg) -> np.ndarray:
 def corpus() -> tuple:
     """(id, scheme) for every corpus scheme, in id order."""
     return tuple((sid, build_scheme(sid)) for sid in corpus_ids())
+
+
+@lru_cache(maxsize=None)
+def workload_schemes(workload: str, seed: int) -> tuple:
+    """(id, scheme) for one benchmark workload at one seed, built by
+    perfbench/workloads.py, so relabelled as the benchmark runs them.  The
+    module is loaded from its file without writing bytecode next to it."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        sys.dont_write_bytecode = saved
+    return tuple(workloads.build(cellalg, workload, seed).items())

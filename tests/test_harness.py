@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cellalg import discriminant, harness
+from cellalg import discriminant, harness, linalg
 from cellalg.generators import build_scheme, rank2
 from cellalg.harness import (
     VerifyOptions,
@@ -124,22 +124,26 @@ def test_verify_corpus_subset_and_summary():
 
 
 def test_corpus_derives_each_character_once_per_scheme(monkeypatch):
-    # the characters do not depend on the prime: one cell character for each
-    # of the 62 schemes, not one for each of the 930 (scheme, p) rows
-    derived = []
-    derive = discriminant.cell_character
+    # the characters and det G_reg do not depend on the prime: one cell
+    # character and two determinants (the standard and the regular trace
+    # form) for each of the 62 schemes, not one for each of the 930
+    # (scheme, p) rows
+    derived = {"cell_character": [], "det_fraction_free": []}
+    for fname, seen in derived.items():
+        derive = getattr(linalg if fname.startswith("det") else discriminant, fname)
 
-    def counting(scheme):
-        derived.append(scheme)
-        return derive(scheme)
+        def counting(arg, derive=derive, seen=seen):
+            seen.append(arg)
+            return derive(arg)
 
-    # wherever the package holds the function, not only where it is defined
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cellalg" and vars(module).get("cell_character") is derive:
-            monkeypatch.setattr(module, "cell_character", counting)
+        # wherever the package holds the function, not only where it is defined
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cellalg" and vars(module).get(fname) is derive:
+                monkeypatch.setattr(module, fname, counting)
     reports, summary = verify_corpus()
     assert summary["primes_tested"] == 930 and summary["rows_failed"] == 0
-    assert len(derived) == len(reports) == 62
+    assert len(derived["cell_character"]) == len(reports) == 62
+    assert len(derived["det_fraction_free"]) == 2 * 62
 
 
 def test_verify_corpus_empty_filter():

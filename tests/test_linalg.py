@@ -1,6 +1,6 @@
 """Exact linear algebra kernels, cross-checked against independent oracles
 (cofactor determinants, sympy characteristic polynomials, brute-force
-null-space enumeration)."""
+null-space enumeration, elimination on Fractions)."""
 
 from fractions import Fraction
 from itertools import product
@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 import sympy
-from reference import multiply
+from reference import kernel_by_fractions, multiply, rref_by_fractions
 
 from cellalg.generators import symmetric_table, thin_group_scheme
 from cellalg.linalg import (
@@ -24,6 +24,7 @@ from cellalg.linalg import (
     primitive_integer_vector,
     regular_matrices,
     rref_mod_p,
+    rref_rational,
 )
 
 
@@ -172,6 +173,40 @@ def test_kernel_rational():
     for v in kernel_rational(m):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
+
+
+def _rational_matrices(seed):
+    """Random matrices over Q: integer and rational entries, low rank,
+    zero rows, single rows and single columns, and entries past 2^64."""
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 9, 2))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        bound = int(rng.choice([2, 10, 1000]))
+        ints = (
+            rng.integers(-bound, bound + 1, (rows, rank))
+            @ rng.integers(-bound, bound + 1, (rank, cols))
+        ).tolist()
+        mat = [[Fraction(x, int(rng.integers(1, 12))) for x in row] for row in ints]
+        if rng.random() < 0.3:
+            mat.insert(int(rng.integers(0, rows + 1)), [0] * cols)
+        yield ints
+        yield mat
+    yield [[3]]
+    yield [[0]]
+    yield [[0, 0, 0]]
+    yield [[2, -4, 6]]
+    yield [[0], [5], [-2]]
+    yield [[1 << 70, 3], [1, 1 << 65], [(1 << 70) + 1, 3 + (1 << 65)]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rational_elimination_equals_the_fraction_reference(seed):
+    # the fraction-free RREF and kernel equal the elimination on Fractions
+    # entry for entry
+    for mat in _rational_matrices(seed):
+        assert rref_rational(mat) == rref_by_fractions(mat), mat
+        assert kernel_rational(mat) == kernel_by_fractions(mat), mat
 
 
 def test_primitive_integer_vector():

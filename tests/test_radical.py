@@ -24,6 +24,7 @@ from reference import (
     nilpotent_by_squaring,
     radical_chain_all_steps,
     radical_oracle_by_ideals,
+    workload_schemes,
 )
 
 import cellalg
@@ -46,6 +47,7 @@ from cellalg.generators import (
 )
 from cellalg.linalg import (
     charpoly_mod_p,
+    det_fraction_free,
     in_row_space_mod_p,
     kernel_mod_p,
     prime_factors,
@@ -424,6 +426,88 @@ def test_chain_step_0_builds_no_module_matrix(monkeypatch):
     assert built == []
 
 
+def _step_0_schemes():
+    """The corpus, which the benchmark does not relabel, then the large-n
+    and high-rank schemes at seeds 0 and 1, as the benchmark builds them."""
+    yield from corpus()
+    for seed in (0, 1):
+        for workload in ("large-n", "high-rank"):
+            yield from workload_schemes(workload, seed)
+
+
+def test_step_0_rule_matches_the_elimination_it_replaces():
+    # the integer Gram matrix G_ab = tr(M_a M_b) of the module matrices; its
+    # kernel mod p, the elimination step 0 used to run at every prime, is
+    # zero exactly when p misses det G, which ModularAlgebra holds up to sign
+    checked = decided = 0
+    for scheme_id, scheme in _step_0_schemes():
+        if scheme.rank < scheme.size:
+            mats = regular_matrices(scheme.tensor)[0]
+        else:
+            mats = scheme.adjacency
+        gram = np.einsum("aij,bji->ab", mats, mats)
+        det = det_fraction_free(gram)
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            assert abs(alg.gram_det) == abs(det), scheme_id
+            empty = kernel_mod_p(gram % p, p).shape[0] == 0
+            assert empty == (det % p != 0), (scheme_id, p)
+            checked += 1
+            decided += empty
+    # the corpus once (930 rows, 850 decided), then per seed 45 large-n
+    # rows (38 decided) and 75 high-rank rows (66 decided)
+    assert (checked, decided) == (930 + 2 * 120, 850 + 2 * (38 + 66))
+
+
+def test_chain_eliminates_only_where_p_divides_det_g(monkeypatch):
+    # the 850 corpus rows whose step 0 the determinant decides make no
+    # elimination; each of the other 80 makes at least one
+    calls = []
+
+    def counting(mat, q):
+        calls.append(q)
+        return kernel_mod_p(mat, q)
+
+    monkeypatch.setattr(radical, "kernel_mod_p", counting)
+    decided = eliminated = 0
+    for scheme_id, scheme in corpus():
+        for p in harness.tested_primes(scheme):
+            alg = modular_algebra(scheme, p)
+            calls.clear()
+            result = radical_chain(alg)
+            if alg.gram_det % p:
+                assert calls == [] and result.basis.shape == (0, scheme.rank)
+                assert result.basis.dtype == np.int64
+                decided += 1
+            else:
+                assert calls, (scheme_id, p)
+                eliminated += 1
+    assert (decided, eliminated) == (850, 80)
+
+
+def test_modular_algebra_shares_the_arrays_reduction_leaves_alone():
+    # thin Z_30's structure constants are 0/1, so every prime shares the
+    # scheme's tensor and adjacency matrices; rank2(12) has c = 11 at one
+    # position and acts on its left-regular module, so primes up to 11 hold
+    # reduced copies and larger ones share the tensor
+    scheme = thin_group_scheme(cyclic_table(30))
+    for p in harness.tested_primes(scheme):
+        alg = modular_algebra(scheme, p)
+        assert alg.c is scheme.tensor and alg.mats is scheme.adjacency
+        assert not alg.c.flags.writeable and not alg.mats.flags.writeable
+    scheme = rank2(12)
+    assert scheme.tensor.max() == 11
+    for p in harness.tested_primes(scheme):
+        alg = modular_algebra(scheme, p)
+        assert np.shares_memory(alg.mats, alg.c)
+        assert np.array_equal(alg.mats, regular_matrices(scheme.tensor % p)[0])
+        if p > 11:
+            assert alg.c is scheme.tensor
+        else:
+            assert not np.shares_memory(alg.c, scheme.tensor)
+            assert np.array_equal(alg.c, scheme.tensor % p)
+
+
 def test_module_traces_are_the_traces_of_the_module_matrices():
     # every (scheme, p) row of the corpus report; c @ traces is the step-0
     # matrix of traces tr(A_a A_b) on the module
@@ -516,7 +600,7 @@ def test_frobenius_powers_of_a_basis_give_every_power():
             continue
         for p in harness.tested_primes(scheme):
             alg = modular_algebra(scheme, p)
-            linear = _frobenius_powers(alg.mats, p)
+            linear = _frobenius_powers(alg.mats, p, p)
             x = rng.integers(0, p, (3, alg.rank))
             mats = alg.element_matrices(x)
             power, e = mats, 1
@@ -564,9 +648,9 @@ def test_frobenius_powers_are_exact_up_to_the_int64_bound():
                 if bit == "1":
                     power = power.dot(x) % q
             expected.append(power)
-        assert np.array_equal(_frobenius_powers(mats, q), np.array(expected)), d
+        assert np.array_equal(_frobenius_powers(mats, q, q), np.array(expected)), d
     with pytest.raises(InternalCheckError, match=r"2\^63"):
-        _frobenius_powers(np.ones((1, 4, 4), dtype=np.int64), 2**31 - 1)
+        _frobenius_powers(np.ones((1, 4, 4), dtype=np.int64), 2**31 - 1, 2)
 
 
 def test_frobenius_kernel_equals_the_chain_on_commutative_rows():
@@ -625,10 +709,34 @@ def test_nilpotent_mask_is_plain_squaring(d, p):
         + [_jordan_block(d, e) % p for e in (0, 1, p - 1)]
     )
     mats = np.concatenate([dense, hidden, special])
-    mask = ~_frobenius_powers(mats, p).any(axis=(1, 2))
-    assert np.array_equal(mask, nilpotent_by_squaring(mats, p))
-    assert mask[200:250].all()
-    assert mask[-5:].tolist() == [True, False, True, False, False]
+    # the enumeration's squarings and the commutative branch's powers of p
+    for base in (2, p):
+        mask = ~_frobenius_powers(mats, p, base).any(axis=(1, 2))
+        assert np.array_equal(mask, nilpotent_by_squaring(mats, p)), base
+        assert mask[200:250].all()
+        assert mask[-5:].tolist() == [True, False, True, False, False]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 9])
+def test_frobenius_powers_to_base_2_only_square(monkeypatch, d, p):
+    # base 2 gives x^(2^k) for the least 2^k >= d by k squarings and no
+    # other product, whatever p is
+    rng = np.random.default_rng(10 * d + p)
+    mats = rng.integers(0, p, (20, d, d))
+    expected, k = mats % p, 0
+    while 2**k < d:
+        expected = expected @ expected % p
+        k += 1
+    products = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products.append(self is other)
+            return np.ndarray.__matmul__(self, other)
+
+    assert np.array_equal(_frobenius_powers(mats.view(Counting), p, 2), expected)
+    assert products == [True] * k
 
 
 @st.composite

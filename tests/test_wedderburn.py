@@ -8,7 +8,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from reference import center_by_all_rows, corpus, multiply
+from reference import (
+    center_by_all_rows,
+    center_by_fractions,
+    corpus,
+    multiply,
+    workload_schemes,
+)
 
 from cellalg.generators import (
     cyclic_table,
@@ -38,6 +44,15 @@ def test_center_equals_kernel_of_all_commutator_rows():
                 thin_group_scheme(cyclic_table(30))]
     for scheme in schemes:
         assert center_basis(scheme) == center_by_all_rows(scheme)
+
+
+def test_center_equals_the_fraction_elimination():
+    # the fraction-free elimination against the Fraction one, on the corpus
+    # and on the high-rank schemes relabelled as the benchmark's seed 1
+    # relabels them
+    schemes = list(corpus()) + list(workload_schemes("high-rank", 1))
+    for scheme_id, scheme in schemes:
+        assert center_basis(scheme) == center_by_fractions(scheme), scheme_id
 
 
 def test_center_dimensions():
