@@ -2,9 +2,9 @@
 characteristic polynomials, and structure-constant arithmetic.
 
 Integers are Python ints (arbitrary precision); rationals are
-fractions.Fraction.  Mod-p work uses int64 numpy arrays with explicit
-reduction; radical.ModularAlgebra refuses primes from 2^31 on, and the
-primes the harness tests stay far below that.
+fractions.Fraction.  Mod-p elimination uses int64 numpy arrays with explicit
+reduction.  Every mod-p matrix product of the radical goes through
+matmul_mod, the one place that decides when such a product is exact.
 """
 
 from __future__ import annotations
@@ -126,7 +126,9 @@ def rref_rational(mat) -> tuple[list[list[Fraction]], list[int]]:
     pivot, and one division by D per entry gives the RREF."""
     a = []
     for row in mat:
-        fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        # Fraction(np.int64) keeps an int64 numerator, whose products wrap
+        fracs = [x if isinstance(x, (int, Fraction)) else int(x)
+                 if isinstance(x, np.integer) else Fraction(x) for x in row]
         scale = math.lcm(*(f.denominator for f in fracs))
         a.append([f.numerator * (scale // f.denominator) for f in fracs])
     pivots: list[int] = []
@@ -258,6 +260,28 @@ def charpoly_mod_p(mats: np.ndarray, p: int, terms: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # structure-constant arithmetic
 
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for residues 0 <= x < p, stacked operands too.  Every
+    partial sum is an integer y below k (p - 1)^2 for the inner dimension k.
+    Below 2^53 it runs in float64 through BLAS and returns float64 residues
+    y - floor(y / p) p, exact since the rounded y / p is off by less than
+    1 / p (np.fmod is slower); below 2^63 it runs in int64; past, it raises."""
+    bound = a.shape[-1] * (p - 1) ** 2
+    if bound < 1 << 53:
+        out = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+        quot = out / p
+        np.floor(quot, out=quot)
+        quot *= p
+        out -= quot
+        return out
+    if bound >= 1 << 63:
+        raise OverflowError(
+            f"{a.shape[-1]} products of residues mod {p} can pass 2^63, "
+            "where int64 sums wrap"
+        )
+    return np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64) % p
+
+
 def multiply_mod(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndarray:
     """Product of coefficient vectors over F_p."""
     xv = np.asarray(x, dtype=np.int64) % p
@@ -268,7 +292,7 @@ def multiply_mod(x: np.ndarray, y: np.ndarray, c: np.ndarray, p: int) -> np.ndar
     r = cc.shape[0]
     # sum_ij x_i y_j c_ijk by two products: einsum runs three operands as
     # one nested loop
-    return yv @ (xv @ cc.reshape(r, r * r)).reshape(r, r) % p
+    return matmul_mod(yv, matmul_mod(xv, cc.reshape(r, r * r), p).reshape(r, r), p)
 
 
 def regular_matrices(c) -> tuple[np.ndarray, np.ndarray]:

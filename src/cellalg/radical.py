@@ -21,18 +21,15 @@ Two independent routes:
   per unordered pair {x, y}, since charpoly(x y) = charpoly(y x) makes the
   coefficient matrix symmetric.  Equal products are merged, and each
   distinct one gets one module matrix and one characteristic polynomial
-  truncated after its first p^i + 1 terms; on its basis of group elements
-  a group algebra has r distinct products, not r (r + 1) / 2.  All these
-  products run in float64 (_combinations), exact while r (p - 1)^2 < 2^53,
-  which that function checks; since such a step has p <= d <= n and
-  r <= n^2, this holds for n < 2^13.  Over the prime field each step is a
-  linear system because the Frobenius fixes F_p, and after
-  floor(log_p d)+1 steps the chain stabilizes at the radical.  Every
+  truncated after its first p^i + 1 terms; on its basis of group elements a
+  group algebra has r distinct products, not r (r + 1) / 2.  Over the prime
+  field each step is a linear system because the Frobenius fixes F_p, and
+  after floor(log_p d)+1 steps the chain stabilizes at the radical.  Every
   subspace of the chain contains the radical (for x in it every x y is
-  nilpotent), so once the two-sided ideal generated by a
-  subspace is nilpotent, that subspace is the radical.  That test runs
-  after each step that shrinks the basis, and the chain stops at the
-  first subspace that passes; one that ends without passing raises.
+  nilpotent), so once the two-sided ideal generated by a subspace is
+  nilpotent, that subspace is the radical.  That test runs after each step
+  that shrinks the basis, and the chain stops at the first subspace that
+  passes; one that ends without passing raises.
 
 * radical_oracle: the radical cut out by nilpotency alone.  Linear
   conditions come first: every radical element has zero trace on the
@@ -46,24 +43,23 @@ Two independent routes:
   set of nilpotent elements, and for e the least power of p with e >= d,
   x -> x^e is F_p-linear, so the radical is the kernel of one linear map:
   the e-th powers of a basis of the kernel of the conditions, with no
-  enumeration; its only bound is r (p - 1)^2 < 2^63, which keeps its int64
-  sums exact.  Otherwise the oracle enumerates that kernel (at most ORACLE_BUDGET
-  elements): every F_p-combination of its basis, counted in
-  base p, in batches of at most ORACLE_BATCH_ENTRIES / d^2.  Each batch's
-  module matrices are one product of its coefficients with the basis's
-  matrices, in float64, exact because their entries are residues below p
-  and the k <= r products summed per entry stay below 2^53 when
-  p^r <= ORACLE_BUDGET.  A candidate x survives when x and every x A_j
-  are nilpotent, tested with e the least power of 2, by squarings alone;
-  the survivors are reduced once, and one span-power test
-  on the ideal of that basis accepts them together, with one test per
-  survivor only if it fails.  The enumeration is exponential and only for
-  cross-checking the chain on small non-commutative instances.  The oracle
-  never uses the chain or the trace-form kernel as a subspace.
+  enumeration; its only bound is matmul_mod's, raised as BudgetExceeded.
+  Otherwise the oracle enumerates that kernel (at most ORACLE_BUDGET
+  elements): every F_p-combination of its basis, counted in base p, in
+  batches of at most ORACLE_BATCH_ENTRIES / d^2.  Each batch's module
+  matrices are one product of its coefficients with the basis's matrices.  A
+  candidate x survives when x and every x A_j are nilpotent, tested with e
+  the least power of 2, by squarings alone; the survivors are reduced once,
+  and one span-power test on the ideal of that basis accepts them together,
+  with one test per survivor only if it fails.  The enumeration is
+  exponential and only for cross-checking the chain on small non-commutative
+  instances.  The oracle never uses the chain or the trace-form kernel as a
+  subspace.
 
 Bases are reduced to row echelon form in relation coordinates, so the two
-routes are comparable array-for-array.  The prime must be below 2^31, so
-that a product of two residues fits in int64.
+routes are comparable array-for-array.  Every product mod p goes through
+linalg.matmul_mod, which alone decides when it is exact.  The prime must be
+below 2^31, so that a product of two residues fits in int64.
 
 central_nilpotent_witness builds, from the cell sizes alone, one central
 element that squares to zero mod p when p divides a cell size; the report
@@ -82,6 +78,7 @@ from .linalg import (
     charpoly_mod_p,
     is_prime,
     kernel_mod_p,
+    matmul_mod,
     multiply_mod,
     regular_matrices,
     rref_mod_p,
@@ -98,13 +95,16 @@ ORACLE_BATCH_ENTRIES = 1 << 18
 
 class BudgetExceeded(ValueError):
     """Oracle input past its bounds: an enumeration larger than
-    ORACLE_BUDGET, or a prime too large for its exact int64 sums."""
+    ORACLE_BUDGET, or a prime too large for matmul_mod's exact sums."""
 
 
 @dataclass(frozen=True)
 class RadicalResult:
-    dim: int
     basis: np.ndarray  # (dim, rank) echelonized coefficient vectors
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
 
 class ModularAlgebra:
@@ -143,9 +143,8 @@ class ModularAlgebra:
     def element_matrices(self, vecs: np.ndarray) -> np.ndarray:
         """Module matrices of coefficient vectors (batched)."""
         v = np.asarray(vecs, dtype=np.int64) % self.p
-        out = np.einsum("br,rij->bij", v, self.mats)
-        out %= self.p
-        return out
+        r, d = self.mats.shape[:2]
+        return matmul_mod(v, self.mats.reshape(r, d * d), self.p).reshape(-1, d, d)
 
 
 def modular_algebra(scheme: Scheme, p: int) -> ModularAlgebra:
@@ -160,18 +159,17 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vecs: np.ndarray) -> bool:
     is as strong as one test per row."""
     p, r = alg.p, alg.rank
     gens = np.asarray(vecs, dtype=np.int64).reshape(-1, r) % p
-    left, right = regular_matrices(alg.c)
-    # row (k, i) of each stack: coefficients of A_i g_k, then of u_k A_i
-    lideal = rref_mod_p(np.einsum("iab,kb->kia", left, gens).reshape(-1, r), p)[0]
-    ideal = rref_mod_p(np.einsum("iab,kb->kia", right, lideal).reshape(-1, r), p)[0]
+    # row (k, i) of each product: coefficients of A_i g_k, then of u_k A_i
+    by_left = alg.c.transpose(1, 0, 2).reshape(r, r * r)
+    lideal = rref_mod_p(matmul_mod(gens, by_left, p).reshape(-1, r), p)[0]
+    by_right = alg.c.reshape(r, r * r)
+    ideal = rref_mod_p(matmul_mod(lideal, by_right, p).reshape(-1, r), p)[0]
     if ideal.shape[0] == 0:
         return True
     span = ideal
     while True:
-        # row (a, b) of prods: coefficients of span_a ideal_b; two-operand
-        # products, since einsum runs three operands as one nested loop
-        prods = ideal @ (span @ alg.c.reshape(r, r * r)).reshape(-1, r, r)
-        prods %= p
+        # row (a, b) of prods: coefficients of span_a ideal_b
+        prods = matmul_mod(ideal, matmul_mod(span, by_right, p).reshape(-1, r, r), p)
         nxt = rref_mod_p(prods.reshape(-1, r), p)[0]
         if nxt.shape[0] == 0:
             return True
@@ -179,22 +177,6 @@ def _ideal_is_nilpotent(alg: ModularAlgebra, vecs: np.ndarray) -> bool:
             # chain of spans is descending; equal dimension means stable
             return False
         span = nxt
-
-
-def _combinations(coeffs: np.ndarray, stack: np.ndarray, p: int) -> np.ndarray:
-    """Row b: sum_i coeffs[b, i] stack[i] mod p, for residues below p, as
-    one float64 GEMM; the float64 residues it returns are exact while
-    k (p - 1)^2 < 2^53 for the inner dimension k, since then every partial
-    sum is an integer below 2^53."""
-    k = coeffs.shape[1]
-    if k * (p - 1) ** 2 >= 1 << 53:
-        raise InternalCheckError(
-            f"{k} products of residues mod {p} can pass 2^53, where float64 "
-            "sums stop being exact"
-        )
-    out = coeffs.astype(np.float64) @ stack.astype(np.float64)
-    np.fmod(out, p, out=out)
-    return out
 
 
 def _product_coefficients(alg: ModularAlgebra, basis: np.ndarray, power: int) -> np.ndarray:
@@ -207,9 +189,9 @@ def _product_coefficients(alg: ModularAlgebra, basis: np.ndarray, power: int) ->
     p, r, d = alg.p, alg.rank, alg.d
     k = basis.shape[0]
     # left[x, b, s]: coefficient of A_s in x A_b
-    left = _combinations(basis, alg.c.reshape(r, r * r), p).reshape(k, r, r)
+    left = matmul_mod(basis, alg.c.reshape(r, r * r), p).reshape(k, r, r)
     # prods[y, x, s]: coefficient of A_s in x y
-    prods = _combinations(basis, left.transpose(1, 0, 2).reshape(r, k * r), p)
+    prods = matmul_mod(basis, left.transpose(1, 0, 2).reshape(r, k * r), p)
     rows, cols = np.triu_indices(k)
     vecs = prods.reshape(k, k, r)[cols, rows]
     # sorted, equal vectors are adjacent; inverse maps each pair to its
@@ -220,7 +202,7 @@ def _product_coefficients(alg: ModularAlgebra, basis: np.ndarray, power: int) ->
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(first) - 1
-    mats = _combinations(ordered[first], alg.mats.reshape(r, d * d), p).reshape(-1, d, d)
+    mats = matmul_mod(ordered[first], alg.mats.reshape(r, d * d), p).reshape(-1, d, d)
     upper = charpoly_mod_p(mats, p, power)[:, power][inverse]
     coeff = np.empty((k, k), dtype=np.int64)
     coeff[rows, cols] = coeff[cols, rows] = upper
@@ -235,7 +217,7 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
     if alg.gram_det % p:
         # step 0 keeps the kernel of the trace form's Gram matrix G mod p,
         # which is zero exactly when p misses det G
-        return RadicalResult(dim=0, basis=np.zeros((0, alg.rank), dtype=np.int64))
+        return RadicalResult(basis=np.zeros((0, alg.rank), dtype=np.int64))
     steps = 1
     while p**steps <= dim:
         steps += 1
@@ -245,18 +227,18 @@ def radical_chain(alg: ModularAlgebra) -> RadicalResult:
         # row x, column y: coefficient of t^(dim - p^i) in charpoly(x y)
         if i == 0:
             # basis is the identity: x y runs over the products A_a A_b
-            coeff = -(alg.c @ alg.traces) % p
+            coeff = -matmul_mod(alg.c, alg.traces, p) % p
         else:
             coeff = _product_coefficients(alg, basis, p**i)
         # solve for x: the coefficient vanishes against every y
         combos = kernel_mod_p(coeff.T, p)
-        basis = rref_mod_p((combos @ basis) % p, p)[0]
+        basis = rref_mod_p(matmul_mod(combos, basis, p), p)[0]
         # a basis that did not shrink has failed the test already, or is
         # the whole algebra, which contains the identity
         if basis.shape[0] == 0 or (
             basis.shape[0] < d and _ideal_is_nilpotent(alg, basis)
         ):
-            return RadicalResult(dim=basis.shape[0], basis=basis)
+            return RadicalResult(basis=basis)
     raise InternalCheckError(
         f"chain basis {basis.tolist()} does not generate a nilpotent ideal"
     )
@@ -272,58 +254,50 @@ def _trace_conditions(alg: ModularAlgebra) -> np.ndarray:
 
 
 def _frobenius_powers(mats: np.ndarray, p: int, base: int) -> np.ndarray:
-    """x^e for each matrix x of a (k, d, d) stack over F_p, where e is the
-    least power of base with e >= d; so x^e = 0 exactly when x is
+    """x^e for each matrix x of a (k, d, d) stack of residues mod p, where e
+    is the least power of base with e >= d; so x^e = 0 exactly when x is
     nilpotent.  With base p, in a commutative algebra over F_p, x -> x^e is
     F_p-linear, so the powers of a basis give every element's; base 2
     takes squarings alone.  Square-and-multiply runs over the bits of e
-    from the top, starting from x itself, not from an identity stack.  The
-    products run in int64, exact while d (p - 1)^2 < 2^63."""
+    from the top, starting from x itself, not from an identity stack."""
     d = mats.shape[-1]
-    if d * (p - 1) ** 2 >= 1 << 63:
-        raise InternalCheckError(
-            f"{d} products of residues mod {p} can pass 2^63, where int64 sums wrap"
-        )
     e = 1
     while e < d:
         e *= base
-    x = power = mats % p
+    x = power = mats
     for bit in bin(e)[3:]:
-        power = power @ power
-        power %= p
+        power = matmul_mod(power, power, p)
         if bit == "1":
-            power = power @ x
-            power %= p
+            power = matmul_mod(power, x, p)
     return power
 
 
 def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     """Radical by nilpotency alone, within the kernel of the trace
-    conditions: on a commutative algebra the kernel of x -> x^e, while
-    r (p - 1)^2 < 2^63, otherwise every element of the kernel, at most
+    conditions: on a commutative algebra the kernel of x -> x^e, within
+    matmul_mod's bound, otherwise every element of the kernel, at most
     ORACLE_BUDGET of them, keeping generators of nilpotent ideals, as the
     module docstring says.  The enumeration checks that the kept set is a
     subspace."""
     p, r, d = alg.p, alg.rank, alg.d
     commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
     count = p**r
-    if commutative and r * (p - 1) ** 2 >= 1 << 63:
-        # d and the trace-kernel dimension are at most r
-        raise BudgetExceeded(
-            f"{r} products of residues mod {p} can pass 2^63, where int64 sums wrap"
-        )
     if not commutative and count > ORACLE_BUDGET:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
     kernel = kernel_mod_p(_trace_conditions(alg), p)
     k = kernel.shape[0]
-    # row i: the module matrix of kernel row i
-    span = alg.element_matrices(kernel)
+    try:
+        # row i: the module matrix of kernel row i; no later product has an
+        # inner dimension above this one's r, so this one meets the bound
+        span = alg.element_matrices(kernel)
+    except OverflowError as exc:
+        raise BudgetExceeded(str(exc)) from exc
     if commutative:
         # row i: the e-th power of kernel row i; the radical is the kernel
         # of this linear map
         powers = _frobenius_powers(span, p, p).reshape(k, d * d)
-        basis = rref_mod_p(kernel_mod_p(powers.T, p) @ kernel % p, p)[0]
-        return RadicalResult(dim=basis.shape[0], basis=basis)
+        basis = matmul_mod(kernel_mod_p(powers.T, p), kernel, p)
+        return RadicalResult(basis=rref_mod_p(basis, p)[0])
     span = span.reshape(k, d * d)
     # candidate i has the base-p digits of i as its kernel coordinates
     place = p ** np.arange(k - 1, -1, -1)
@@ -331,13 +305,13 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     kept = []
     for start in range(0, p**k, step):
         combos = np.arange(start, min(start + step, p**k))[:, None] // place % p
-        mats = _combinations(combos, span, p).astype(np.int64).reshape(-1, d, d)
+        mats = matmul_mod(combos, span, p).reshape(-1, d, d)
         keep = ~_frobenius_powers(mats, p, 2).any(axis=(1, 2))
         for j in range(r):
             sel = np.flatnonzero(keep)
-            sub = _frobenius_powers(mats[sel] @ alg.mats[j], p, 2)
+            sub = _frobenius_powers(matmul_mod(mats[sel], alg.mats[j], p), p, 2)
             keep[sel[sub.any(axis=(1, 2))]] = False
-        kept.append(combos[keep] @ kernel % p)
+        kept.append(matmul_mod(combos[keep], kernel, p))
     members = np.concatenate(kept)
     basis = rref_mod_p(members, p)[0]
     if not _ideal_is_nilpotent(alg, basis):
@@ -350,7 +324,7 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
             f"oracle kept {len(members)} elements, not the {p}^{basis.shape[0]} "
             "of a subspace"
         )
-    return RadicalResult(dim=basis.shape[0], basis=basis)
+    return RadicalResult(basis=basis)
 
 
 def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
@@ -392,7 +366,7 @@ def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
     r = scheme.rank
     left, right = regular_matrices(c)
     # column s: coefficients of vec A_s - A_s vec
-    commutators = (vec @ (left - right).reshape(r, r * r) % p).reshape(r, r)
+    commutators = matmul_mod(vec, (left - right).reshape(r, r * r) % p, p).reshape(r, r)
     bad = np.flatnonzero(commutators.any(axis=0))
     if bad.size:
         raise InternalCheckError(

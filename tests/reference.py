@@ -302,7 +302,8 @@ def radical_oracle_by_ideals(alg):
     commutative."""
     p, r = alg.p, alg.rank
     vecs = np.array(np.meshgrid(*[range(p)] * r, indexing="ij")).reshape(r, -1).T
-    mats = alg.element_matrices(vecs)
+    # int64 arithmetic, whatever dtype the package's products return
+    mats = alg.element_matrices(vecs).astype(np.int64)
     keep = (np.einsum("bii->b", mats) % p == 0) & nilpotent_by_squaring(mats, p)
     for j in range(r):
         keep &= nilpotent_by_squaring(mats @ alg.mats[j], p)
@@ -349,7 +350,7 @@ def radical_chain_all_steps(alg) -> np.ndarray:
         if basis.shape[0] == 0:
             break
         d = basis.shape[0]
-        mats = alg.element_matrices(basis)
+        mats = alg.element_matrices(basis).astype(np.int64)
         if i == 0:
             coeff = (-np.einsum("aij,bji->ab", mats, mats)) % p
         else:

@@ -10,7 +10,7 @@ import pytest
 import sympy
 from reference import kernel_by_fractions, multiply, rref_by_fractions
 
-from cellalg.generators import symmetric_table, thin_group_scheme
+from cellalg.generators import rank2, symmetric_table, thin_group_scheme
 from cellalg.linalg import (
     charpoly_mod_p,
     det_fraction_free,
@@ -18,6 +18,7 @@ from cellalg.linalg import (
     is_prime,
     kernel_mod_p,
     kernel_rational,
+    matmul_mod,
     multiply_mod,
     prime_factors,
     primes_upto,
@@ -26,6 +27,7 @@ from cellalg.linalg import (
     rref_mod_p,
     rref_rational,
 )
+from cellalg.radical import ORACLE_BUDGET
 
 
 def cofactor_det(m):
@@ -175,6 +177,16 @@ def test_kernel_rational():
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
+def test_rational_elimination_reads_numpy_integers_exactly():
+    # Fraction(np.int64(x)) keeps an int64 numerator, whose products wrap;
+    # an int64 array must give what its Python ints give
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        m = rng.integers(-(10**6), 10**6, (6, 5))
+        assert rref_rational(m) == rref_rational(m.tolist())
+        assert kernel_rational(m.T) == kernel_rational(m.T.tolist())
+
+
 def _rational_matrices(seed):
     """Random matrices over Q: integer and rational entries, low rank,
     zero rows, single rows and single columns, and entries past 2^64."""
@@ -254,6 +266,65 @@ def test_multiply_mod_agrees_with_exact():
             y = rng.integers(0, p, size=len(c))
             exact = [v % p for v in multiply(x.tolist(), y.tolist(), c)]
             assert multiply_mod(x, y, c, p).tolist() == exact
+
+
+def test_multiply_mod_is_exact_near_2_31():
+    # rank2(3) at p = 2^31 - 1: x = (p - 1, p - 1) squared sums products
+    # near 2^62, past int64 once two are added unreduced
+    c = rank2(3).tensor
+    p = 2**31 - 1
+    x = [p - 1, p - 1]
+    exact = [v % p for v in multiply(x, x, c)]
+    assert exact == [3, 3]
+    assert multiply_mod(np.array(x), np.array(x), c, p).tolist() == exact
+
+
+def test_matmul_mod_is_exact_up_to_the_float64_bound():
+    # at the oracle budget: the most products of residues a batch row sums,
+    # k with p^k <= ORACLE_BUDGET, every one (p - 1)^2, all in float64
+    for p in primes_upto(ORACLE_BUDGET):
+        k = 1
+        while p ** (k + 1) <= ORACLE_BUDGET:
+            k += 1
+        out = matmul_mod(np.full((1, k), p - 1), np.full((k, 1), p - 1), p)
+        assert out.dtype == np.float64, p
+        assert out.tolist() == [[k * (p - 1) ** 2 % p]], p
+    # each side of 2^53, stacked: with p - 1 = 2^26, k (p - 1)^2 is 2^52 for
+    # k = 1, still float64, and 2^53 for k = 2, now int64; exact both ways
+    q = (1 << 26) + 1
+    rng = np.random.default_rng(19)
+    for k, dtype in [(1, np.float64), (2, np.int64)]:
+        a = rng.integers(0, q, (3, 4, k))
+        b = rng.integers(0, q, (3, k, 5))
+        a[0] = b[0] = q - 1
+        out = matmul_mod(a, b, q)
+        assert out.dtype == dtype, k
+        assert np.array_equal(out, a.astype(object) @ b.astype(object) % q), k
+
+
+def test_matmul_mod_is_exact_up_to_the_int64_bound():
+    # the commutative oracle has no enumeration budget, so p may be near
+    # 2^31.  x^q of a (3, d, d) stack by chained square-and-multiply, with
+    # d (q - 1)^2 below 2^63 but past 2^53, against Python ints
+    rng = np.random.default_rng(18)
+    for d, q in [(2, 2**31 - 1), (4, 1518500250)]:  # the largest such q for d = 4
+        assert 1 << 53 <= d * (q - 1) ** 2 < 1 << 63
+        mats = rng.integers(0, q, (3, d, d))
+        mats[0] = q - 1
+        power, expected = mats, mats.astype(object)
+        for bit in bin(q)[3:]:
+            power = matmul_mod(power, power, q)
+            expected = expected @ expected % q
+            if bit == "1":
+                power = matmul_mod(power, mats, q)
+                expected = expected @ mats.astype(object) % q
+        assert power.dtype == np.int64, d
+        assert np.array_equal(power, expected), d
+    # one past it, 4 (q - 1)^2 >= 2^63: it raises rather than wrap
+    ones = np.ones((3, 4, 4), dtype=np.int64)
+    message = r"4 products of residues mod 1518500251 can pass 2\^63"
+    with pytest.raises(OverflowError, match=message):
+        matmul_mod(ones, ones, 1518500251)
 
 
 def test_regular_matrices_are_homomorphisms():

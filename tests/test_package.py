@@ -35,6 +35,19 @@ def test_einsum_has_at_most_two_operands():
     assert found == []
 
 
+def test_radical_products_go_through_matmul_mod():
+    # matmul_mod alone decides when a product mod p is exact; a bare matrix
+    # product or einsum in radical.py would skip that check
+    path = PACKAGE / "radical.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum")
+    ]
+    assert found == []
+
+
 def test_package_reads_no_environment():
     # behaviour is set by arguments alone; a thread count or similar knob
     # read from the environment would be a hidden option

@@ -60,7 +60,6 @@ from cellalg.radical import (
     BudgetExceeded,
     InternalCheckError,
     ModularAlgebra,
-    _combinations,
     _frobenius_powers,
     _ideal_is_nilpotent,
     _trace_conditions,
@@ -382,17 +381,20 @@ def test_relation_without_a_fiber_raises():
 
 
 def _record_batches(monkeypatch):
-    """Spy on the oracle's batch products; the list gets the candidates
-    (rows) and the matrix entries (rows times d^2) of each batch."""
+    """Spy on the oracle's batch products, the matmul_mod calls whose left
+    operand is radical_oracle's candidate coordinates `combos`; the list
+    gets the candidates (rows) and the matrix entries (rows times d^2) of
+    each batch."""
     batches = []
-    combine = radical._combinations
+    combine = radical.matmul_mod
 
-    def recording(coeffs, stack, p):
-        out = combine(coeffs, stack, p)
-        batches.append((len(coeffs), out.size))
+    def recording(a, b, p):
+        out = combine(a, b, p)
+        if sys._getframe(1).f_locals.get("combos") is a:
+            batches.append((len(a), out.size))
         return out
 
-    monkeypatch.setattr(radical, "_combinations", recording)
+    monkeypatch.setattr(radical, "matmul_mod", recording)
     return batches
 
 
@@ -614,45 +616,6 @@ def test_frobenius_powers_of_a_basis_give_every_power():
     assert checked == 675
 
 
-def test_float64_combinations_are_exact_up_to_the_bound():
-    # at the budget: the most products of residues a batch row sums, k with
-    # p^k <= ORACLE_BUDGET, every one (p - 1)^2
-    for p in primes_upto(ORACLE_BUDGET):
-        k = 1
-        while p ** (k + 1) <= ORACLE_BUDGET:
-            k += 1
-        row, col = np.full((1, k), p - 1), np.full((k, 1), p - 1)
-        assert _combinations(row, col, p).tolist() == [[k * (p - 1) ** 2 % p]], p
-    # just past the bound: k (p - 1)^2 = 2^53 with p - 1 = 2^26 and k = 2
-    q = (1 << 26) + 1
-    top = np.full((1, 1), q - 1)
-    assert _combinations(top, top, q).tolist() == [[1]]
-    with pytest.raises(InternalCheckError, match=r"2\^53"):
-        _combinations(np.full((1, 2), q - 1), np.full((2, 1), q - 1), q)
-
-
-def test_frobenius_powers_are_exact_up_to_the_int64_bound():
-    # the commutative oracle has no enumeration budget, so p may be near
-    # 2^31; d (p - 1)^2 < 2^63 keeps every int64 sum exact.  Here e = q, and
-    # the reference squares left to right in Python ints
-    rng = np.random.default_rng(18)
-    for d, q in [(2, 2**31 - 1), (4, 1518500213)]:  # the largest such q for d = 4
-        assert d * (q - 1) ** 2 < 1 << 63
-        mats = rng.integers(0, q, (3, d, d))
-        mats[0] = q - 1
-        expected = []
-        for x in mats.astype(object):
-            power = x
-            for bit in bin(q)[3:]:
-                power = power.dot(power) % q
-                if bit == "1":
-                    power = power.dot(x) % q
-            expected.append(power)
-        assert np.array_equal(_frobenius_powers(mats, q, q), np.array(expected)), d
-    with pytest.raises(InternalCheckError, match=r"2\^63"):
-        _frobenius_powers(np.ones((1, 4, 4), dtype=np.int64), 2**31 - 1, 2)
-
-
 def test_frobenius_kernel_equals_the_chain_on_commutative_rows():
     # the commutative oracle on every commutative row of the corpus report,
     # those past the oracle budget among them, and thin Z_18, Z_20 and Z_30
@@ -729,13 +692,14 @@ def test_frobenius_powers_to_base_2_only_square(monkeypatch, d, p):
         expected = expected @ expected % p
         k += 1
     products = []
+    combine = radical.matmul_mod
 
-    class Counting(np.ndarray):
-        def __matmul__(self, other):
-            products.append(self is other)
-            return np.ndarray.__matmul__(self, other)
+    def counting(a, b, q):
+        products.append(a is b)
+        return combine(a, b, q)
 
-    assert np.array_equal(_frobenius_powers(mats.view(Counting), p, 2), expected)
+    monkeypatch.setattr(radical, "matmul_mod", counting)
+    assert np.array_equal(_frobenius_powers(mats, p, 2), expected)
     assert products == [True] * k
 
 
