@@ -62,8 +62,8 @@ linalg.matmul_mod, which alone decides when it is exact.  The prime must be
 below 2^31, so that a product of two residues fits in int64.
 
 central_nilpotent_witness builds, from the cell sizes alone, one central
-element that squares to zero mod p when p divides a cell size; the report
-checks that it lies in the chain's radical.
+element that squares to zero mod p when p divides a cell size and vanishes
+on Scheme.commutator_rows; the report checks it lies in the chain's radical.
 """
 
 from __future__ import annotations
@@ -107,26 +107,33 @@ class RadicalResult:
         return self.basis.shape[0]
 
 
+def _check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime below 2^31, testing the bound
+    first: is_prime's trial division runs for minutes on a huge p."""
+    if p >= 1 << 31:
+        raise ValueError(f"p = {p} is too large: the prime must be below 2^31")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 class ModularAlgebra:
     """Adjacency algebra over F_p, all mod p: structure constants, the basis
     acting on the smaller faithful module (of dimension d = min(n, rank);
     left-regular only when strictly smaller), that module's character
     traces, the point-module character point_traces and the cell character
-    cell_traces, reduced from the scheme's characters, and gram_det, the
-    integer det (up to sign) of the module's trace form c @ chi.  The 0/1
-    adjacency matrices, and the tensor once p exceeds its entries, are the
-    scheme's read-only arrays: reduction would not change them."""
+    cell_traces, reduced from the scheme's characters, gram_det, the integer
+    det (up to sign) of the module's trace form c @ chi, and commutative,
+    whether Scheme.commutator_rows vanish mod p.  The 0/1 adjacency
+    matrices, and the tensor once p exceeds its entries, are the scheme's
+    read-only arrays: reduction would not change them."""
 
     def __init__(self, scheme: Scheme, p: int):
-        # before is_prime, whose trial division runs for minutes on huge p
-        if p >= 1 << 31:
-            raise ValueError(f"p = {p} is too large: the prime must be below 2^31")
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _check_prime(p)
         self.p = p
         self.rank = scheme.rank
         c = scheme.tensor
         self.c = c if p > c.max() else c % p
+        self.commutative = not (scheme.commutator_rows % p).any()
         standard, regular, cell = scheme.characters
         if self.rank < scheme.size:
             self.mats = regular_matrices(self.c)[0]
@@ -280,9 +287,8 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
     module docstring says.  The enumeration checks that the kept set is a
     subspace."""
     p, r, d = alg.p, alg.rank, alg.d
-    commutative = np.array_equal(alg.c, alg.c.transpose(1, 0, 2))
     count = p**r
-    if not commutative and count > ORACLE_BUDGET:
+    if not alg.commutative and count > ORACLE_BUDGET:
         raise BudgetExceeded(f"{p}^{r} = {count} exceeds budget {ORACLE_BUDGET}")
     kernel = kernel_mod_p(_trace_conditions(alg), p)
     k = kernel.shape[0]
@@ -292,7 +298,7 @@ def radical_oracle(alg: ModularAlgebra) -> RadicalResult:
         span = alg.element_matrices(kernel)
     except OverflowError as exc:
         raise BudgetExceeded(str(exc)) from exc
-    if commutative:
+    if alg.commutative:
         # row i: the e-th power of kernel row i; the radical is the kernel
         # of this linear map
         powers = _frobenius_powers(span, p, p).reshape(k, d * d)
@@ -339,8 +345,7 @@ def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
     cells with a_X = lam.  Distinct J_X multiply to 0 and J_X^2 = |X| J_X,
     so the square vanishes when lam >= 1; with lam = 0 there is no witness.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     vals = []
     for s in (len(x) for x in scheme.cells):
         a = 0
@@ -362,16 +367,8 @@ def central_nilpotent_witness(scheme: Scheme, p: int) -> np.ndarray | None:
             vec[rel] = coeffs[fiber[0]]
     if not vec.any():
         raise InternalCheckError(f"witness mod {p} is zero")
-    c = scheme.tensor
-    r = scheme.rank
-    left, right = regular_matrices(c)
-    # column s: coefficients of vec A_s - A_s vec
-    commutators = matmul_mod(vec, (left - right).reshape(r, r * r) % p, p).reshape(r, r)
-    bad = np.flatnonzero(commutators.any(axis=0))
-    if bad.size:
-        raise InternalCheckError(
-            f"witness mod {p} does not commute with basis element {bad[0]}"
-        )
-    if multiply_mod(vec, vec, c, p).any():
+    if matmul_mod(scheme.commutator_rows % p, vec, p).any():
+        raise InternalCheckError(f"witness mod {p} is not central")
+    if multiply_mod(vec, vec, scheme.tensor, p).any():
         raise InternalCheckError(f"witness mod {p} does not square to zero")
     return vec

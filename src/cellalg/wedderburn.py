@@ -1,18 +1,18 @@
 """Wedderburn block data (degrees and multiplicities) and the Frame number.
 
-The center of the algebra is computed exactly over Q.  A seeded random
-integer combination z of the center basis gives the Hermitian central
-element h = (z + z^T) + i(z - z^T) (the algebra is closed under transpose),
-which acts on each block by one real scalar.  One eigendecomposition of h on
-the point space splits its sorted eigenvalues into runs, one per block; the
-eigenvectors of a run are an orthonormal basis of that block's isotypic
-component, of dimension f*m.  The degree f is the square root of the rank of
-the algebra compressed to that component.  Every eigenspace must be
-invariant under the basis matrices, and the block data must satisfy exact
-integer identities: sum f^2 = rank, sum f*m = points, and
-prod |R| * prod f^(f^2) = |det G_reg| * prod m^(f^2), where G_reg is the
-Gram matrix of the regular trace form.  A bad draw is detected and retried
-rather than silently accepted.
+The center of the algebra is computed exactly over Q, as the kernel of
+Scheme.commutator_rows.  A seeded random integer combination z of the center
+basis gives the Hermitian central element h = (z + z^T) + i(z - z^T) (the
+algebra is closed under transpose), which acts on each block by one real
+scalar.  One eigendecomposition of h on the point space splits its sorted
+eigenvalues into runs, one per block; the eigenvectors of a run are an
+orthonormal basis of that block's isotypic component, of dimension f*m.  The
+degree f is the square root of the rank of the algebra compressed to that
+component.  Every eigenspace must be invariant under the basis matrices, and
+the block data must satisfy exact integer identities: sum f^2 = rank,
+sum f*m = points, and prod |R| * prod f^(f^2) = |det G_reg| * prod m^(f^2),
+where G_reg is the Gram matrix of the regular trace form.  A bad draw is
+detected and retried rather than silently accepted.
 
 Everything downstream of the rounded integers is exact again: the Frame
 number is an exact integer quotient and the cell-normalized quotient an
@@ -28,7 +28,7 @@ from math import prod
 import numpy as np
 
 from .discriminant import product_cell_sizes, product_relation_sizes
-from .linalg import kernel_rational, primitive_integer_vector, regular_matrices
+from .linalg import kernel_rational, primitive_integer_vector
 from .scheme import Scheme
 
 # eigenvalue gap, singular-value cut and eigenspace residual bound
@@ -76,41 +76,30 @@ class FrameNumber:
 
 
 def center_basis(scheme: Scheme) -> list[list[int]]:
-    """Exact basis of the center: joint kernel of all commutator maps,
-    scaled to primitive integer vectors.  Zero and repeated commutator rows
-    are dropped before the exact elimination; with none left the center is
-    the whole algebra."""
-    left, right = regular_matrices(scheme.tensor)
-    rows = (left - right).reshape(-1, scheme.rank)
-    # a dict, not np.unique, whose first call in a process costs ~20 ms
-    rows = list(dict.fromkeys(map(tuple, rows[rows.any(axis=1)].tolist())))
-    if not rows:
+    """Exact basis of the center, the kernel of Scheme.commutator_rows,
+    scaled to primitive integer vectors; with no rows the center is the
+    whole algebra."""
+    rows = scheme.commutator_rows
+    if not rows.size:
         return np.eye(scheme.rank, dtype=np.int64).tolist()
-    return [primitive_integer_vector(v) for v in kernel_rational(rows)]
+    return [primitive_integer_vector(v) for v in kernel_rational(rows.tolist())]
 
 
-def regular_discriminant(scheme: Scheme) -> int:
-    """|det G_reg| of the regular trace form, exactly: G_reg[i][j] =
-    sum_k c_ijk tr(L_k), with tr(L_k) the regular character.  The
-    determinant is Scheme.regular_gram_det, taken once per scheme; the
-    radical chain reads it too."""
-    return abs(scheme.regular_gram_det)
-
-
-def check_blocks(scheme: Scheme, wd: WedderburnData, det_reg: int) -> str | None:
+def check_blocks(scheme: Scheme, wd: WedderburnData) -> str | None:
     """Why the block data cannot be right, or None.  Besides the sums
     sum f^2 = r and sum f*m = n, the standard and regular trace forms give
-    prod |R| * prod f^(f^2) = |det G_reg| * prod m^(f^2)."""
+    prod |R| * prod f^(f^2) = |det G_reg| * prod m^(f^2), with det G_reg
+    Scheme.regular_gram_det, taken once per scheme."""
     if wd.rank != scheme.rank or wd.points != scheme.size:
         return f"block sums {wd.rank}/{wd.points} disagree with {scheme.rank}/{scheme.size}"
     if product_relation_sizes(scheme) * prod(f ** (f * f) for f, _ in wd.blocks) != (
-        det_reg * prod(m ** (f * f) for f, m in wd.blocks)
+        abs(scheme.regular_gram_det) * prod(m ** (f * f) for f, m in wd.blocks)
     ):
         return "blocks miss the regular trace form identity"
     return None
 
 
-def _attempt(scheme: Scheme, center: list[list[int]], seed: int, det_reg: int):
+def _attempt(scheme: Scheme, center: list[list[int]], seed: int):
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(1, COEFF_BOUND, size=len(center), endpoint=True)
     vec = coeffs @ np.asarray(center, dtype=np.int64)
@@ -146,7 +135,7 @@ def _attempt(scheme: Scheme, center: list[list[int]], seed: int, det_reg: int):
 
     blocks.sort()
     wd = WedderburnData(blocks=tuple(blocks), seed=seed, residual=residual)
-    reason = check_blocks(scheme, wd, det_reg)
+    reason = check_blocks(scheme, wd)
     return (None, reason) if reason else (wd, None)
 
 
@@ -157,10 +146,9 @@ def decompose(scheme: Scheme, seed: int = 0) -> WedderburnData:
     degenerate (collided eigenvalues) or validation fails.
     """
     center = center_basis(scheme)
-    det_reg = regular_discriminant(scheme)
     failures = []
     for attempt in range(RETRIES):
-        wd, reason = _attempt(scheme, center, seed + attempt, det_reg)
+        wd, reason = _attempt(scheme, center, seed + attempt)
         if wd is not None:
             return wd
         failures.append(f"seed {seed + attempt}: {reason}")

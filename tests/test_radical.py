@@ -68,7 +68,7 @@ from cellalg.radical import (
     radical_chain,
     radical_oracle,
 )
-from cellalg.scheme import from_color_matrix
+from cellalg.scheme import classify, from_color_matrix
 
 # p^r at most this many elements in the tests that enumerate the algebra
 SMALL = 4096
@@ -275,6 +275,17 @@ def _corpus_cases(budget):
 def _is_commutative(scheme):
     c = scheme.tensor
     return np.array_equal(c, c.transpose(1, 0, 2))
+
+
+def test_commutativity_read_from_the_commutator_rows():
+    # dropping zero and repeated commutator rows keeps both tests: the
+    # full tensor against its transpose, over Q and mod each tested prime
+    for scheme_id, scheme in list(corpus()) + list(workload_schemes("high-rank", 0)):
+        assert classify(scheme).commutative == _is_commutative(scheme), scheme_id
+        for p in harness.tested_primes(scheme):
+            c = scheme.tensor % p
+            expected = np.array_equal(c, c.transpose(1, 0, 2))
+            assert modular_algebra(scheme, p).commutative == expected, (scheme_id, p)
 
 
 def test_commutative_oracle_members_generate_nilpotent_ideals(monkeypatch):
@@ -814,12 +825,13 @@ def test_failed_checks_raise_with_a_reason(monkeypatch):
     monkeypatch.setattr(radical, "multiply_mod", lambda x, y, c, p: np.ones(4))
     with pytest.raises(InternalCheckError, match="square to zero"):
         central_nilpotent_witness(scheme, 2)
-    # with right multiplication stubbed to zero, vec A_s - A_s vec = vec A_s,
-    # which is the all-ones vector for the witness J of thin Z_4
-    monkeypatch.setattr(
-        radical, "regular_matrices", lambda c: (c.transpose(0, 2, 1), 0 * c)
+    # a commutator row e_0 meets the witness J of thin Z_4 in its first
+    # coefficient, 1; commutator_rows is a cached_property, which an entry
+    # in the instance dict overrides
+    monkeypatch.setitem(
+        scheme.__dict__, "commutator_rows", np.eye(1, scheme.rank, dtype=np.int64)
     )
-    with pytest.raises(InternalCheckError, match="commute with basis element 0"):
+    with pytest.raises(InternalCheckError, match="not central"):
         central_nilpotent_witness(scheme, 2)
 
 
@@ -897,6 +909,13 @@ def test_witness_absent_when_p_misses_every_cell():
 def test_witness_rejects_composite_modulus():
     with pytest.raises(ValueError):
         central_nilpotent_witness(rank2(4), 4)
+
+
+def test_witness_rejects_a_huge_prime_at_once():
+    # the bound comes before is_prime, whose trial division would run to
+    # about 1.5e9 on this prime
+    with pytest.raises(ValueError, match="too large"):
+        central_nilpotent_witness(rank2(3), 2**61 - 1)
 
 
 def test_witness_homogeneous_is_all_ones():

@@ -18,6 +18,7 @@ from cellalg.generators import (
     symmetric_table,
     thin_group_scheme,
 )
+from cellalg.linalg import regular_matrices
 from cellalg.scheme import (
     InternalCheckError,
     Scheme,
@@ -27,7 +28,13 @@ from cellalg.scheme import (
     relation_stats,
     verify_regularity,
 )
-from reference import corpus, degrees_by_rows, regularity_by_loops, scheme_facts_by_loops
+from reference import (
+    corpus,
+    degrees_by_rows,
+    regularity_by_loops,
+    scheme_facts_by_loops,
+    workload_schemes,
+)
 
 RANK2_3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
 Z3_CIRCULANT = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
@@ -388,3 +395,23 @@ def test_colors_are_read_only():
     s = from_color_matrix(RANK2_3)
     with pytest.raises(ValueError):
         s.colors[0, 0] = 5
+    # every array a Scheme hands out is shared, by ModularAlgebra across
+    # primes too, so none may be written
+    s = build_scheme("thin-s3")
+    arrays = [s.colors, s.first_pair, s.point_cell, s.adjacency, s.tensor]
+    for a in arrays + [*s.characters, s.commutator_rows]:
+        assert a.size
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 5
+
+
+def test_commutator_rows_are_the_distinct_nonzero_rows():
+    # in first-occurrence order among the rows (i, k) of left - right
+    schemes = list(corpus()) + list(workload_schemes("high-rank", 0))
+    for scheme_id, scheme in schemes:
+        left, right = regular_matrices(scheme.tensor)
+        rows = (left - right).reshape(-1, scheme.rank).tolist()
+        expected = list(dict.fromkeys(tuple(v) for v in rows if any(v)))
+        got = scheme.commutator_rows
+        assert got.shape == (len(expected), scheme.rank), scheme_id
+        assert list(map(tuple, got.tolist())) == expected, scheme_id
